@@ -1,15 +1,13 @@
 // E7 — Section 4.2: parallel scalability of the binned executor, and the
-// flat task graph vs the seed per-pair scheduler.
+// columnar MAP kernel vs the row kernel.
 //
 // The paper-scale workload shape is MANY samples against one reference
 // (Section 2: 2,423 ENCODE samples), so the dominant parallelism axis is
-// the sample pair, not the partitions within one pair. The seed scheduler
-// looped pairs sequentially (one ParallelFor per pair: a sync point per
-// pair, plus an O(|exp|) partitioner rescan per pair); the flat scheduler
-// emits ONE task list spanning every pair x partition and reuses cached
-// per-sample chromosome indexes. This bench runs the Section 2 MAP query on
-// a many-samples dataset under both schedulers across thread counts and
-// reports the per-thread-count speedup.
+// the sample pair, not the partitions within one pair. The engine emits ONE
+// task list spanning every pair x partition and reuses cached per-sample
+// chromosome indexes. This bench runs the Section 2 MAP query on a
+// many-samples dataset with the row and the columnar kernel across thread
+// counts and reports the per-thread-count columnar speedup.
 
 #include <thread>
 
@@ -34,10 +32,8 @@ const char* kQuery =
 // Many experiment samples mapped against several reference panels, the
 // paper-scale workload shape (Section 2 averages ~35k peaks per ENCODE
 // sample over a 22+2-chromosome genome). Every exp sample takes part in
-// kRefPanels pairs, so the seed scheduler rescans each exp sample's regions
-// kRefPanels times (MaxLenByChrom's std::map accumulation) and re-chunks
-// every ref panel once per pair; the flat scheduler builds one cached
-// ChromIndex per exp sample and one chunk list per panel.
+// kRefPanels pairs; the engine builds one cached ChromIndex (or column
+// chunk directory) per exp sample and one chunk list per panel.
 constexpr size_t kRefPanels = 8;
 constexpr size_t kPanelRegions = 400;
 constexpr size_t kSamples = 96;
@@ -77,14 +73,11 @@ struct RunResult {
   uint64_t partitions = 0;
 };
 
-RunResult RunOnce(size_t threads, engine::SchedulingMode scheduling,
-                  bool columnar = true) {
+RunResult RunOnce(size_t threads, bool columnar = true) {
   engine::EngineOptions options;
   options.threads = threads;
   options.bin_size = kBinSize;
   options.backend = engine::BackendKind::kPipelined;
-  options.scheduling = scheduling;
-  options.columnar = columnar;
   engine::ParallelExecutor executor(options);
   core::QueryRunner runner(&executor);
   runner.set_columnar(columnar);
@@ -101,11 +94,10 @@ RunResult RunOnce(size_t threads, engine::SchedulingMode scheduling,
 
 /// Best of `reps` runs: min wall time is the standard noise filter on a
 /// shared/oversubscribed host.
-RunResult RunWith(size_t threads, engine::SchedulingMode scheduling,
-                  int reps = 3, bool columnar = true) {
-  RunResult best = RunOnce(threads, scheduling, columnar);
+RunResult RunWith(size_t threads, int reps = 3, bool columnar = true) {
+  RunResult best = RunOnce(threads, columnar);
   for (int i = 1; i < reps; ++i) {
-    RunResult r = RunOnce(threads, scheduling, columnar);
+    RunResult r = RunOnce(threads, columnar);
     if (r.seconds < best.seconds) best = r;
   }
   return best;
@@ -138,7 +130,7 @@ void PrintStorageFigures(bench::BenchJson* json) {
 
 void PrintTable(bench::BenchJson* json) {
   bench::Header(
-      "E7: flat (pair x partition) task graph vs seed per-pair scheduler",
+      "E7: flat (pair x partition) task graph, row vs columnar MAP kernel",
       "Section 4.2: computational efficiency via parallel computing on "
       "clusters and clouds");
   size_t hw = std::thread::hardware_concurrency();
@@ -156,67 +148,35 @@ void PrintTable(bench::BenchJson* json) {
 
   // Warm the allocator and page cache so the first measured config is not
   // penalized.
-  (void)RunWith(1, engine::SchedulingMode::kFlat, 1);
+  (void)RunWith(1, 1);
 
-  std::printf("%8s %12s %12s %12s %9s %9s %10s\n", "threads", "per-pair(s)",
-              "flat-row(s)", "flat-col(s)", "sched-x", "col-x", "tasks");
-  double flat_base = 0;
-  double best_speedup = 0;
-  double last_speedup = 0;
+  std::printf("%8s %12s %12s %9s %10s\n", "threads", "flat-row(s)",
+              "flat-col(s)", "col-x", "tasks");
   double last_columnar_speedup = 0;
   for (size_t threads : {1, 2, 4, 8}) {
-    RunResult seed = RunWith(threads, engine::SchedulingMode::kPerPair);
-    RunResult flat_row = RunWith(threads, engine::SchedulingMode::kFlat, 3,
-                                 /*columnar=*/false);
-    RunResult flat = RunWith(threads, engine::SchedulingMode::kFlat);
-    double speedup = flat.seconds > 0 ? seed.seconds / flat.seconds : 0;
+    RunResult flat_row = RunWith(threads, 3, /*columnar=*/false);
+    RunResult flat = RunWith(threads);
     double columnar_speedup =
         flat.seconds > 0 ? flat_row.seconds / flat.seconds : 0;
-    best_speedup = std::max(best_speedup, speedup);
-    last_speedup = speedup;
     last_columnar_speedup = columnar_speedup;
-    if (threads == 1) flat_base = flat.seconds;
-    std::printf("%8zu %12.3f %12.3f %12.3f %8.2fx %8.2fx %10llu\n", threads,
-                seed.seconds, flat_row.seconds, flat.seconds, speedup,
-                columnar_speedup,
+    std::printf("%8zu %12.3f %12.3f %8.2fx %10llu\n", threads,
+                flat_row.seconds, flat.seconds, columnar_speedup,
                 static_cast<unsigned long long>(flat.tasks));
     struct Row {
-      engine::SchedulingMode mode;
       bool columnar;
       const RunResult* r;
     };
-    const Row rows[] = {
-        {engine::SchedulingMode::kPerPair, true, &seed},
-        {engine::SchedulingMode::kFlat, false, &flat_row},
-        {engine::SchedulingMode::kFlat, true, &flat},
-    };
+    const Row rows[] = {{false, &flat_row}, {true, &flat}};
     for (const Row& row_spec : rows) {
       bench::JsonObject& row = json->NewRun();
       row.Add("threads", static_cast<uint64_t>(threads));
-      row.Add("scheduling", engine::SchedulingModeName(row_spec.mode));
       row.Add("columnar", row_spec.columnar ? 1 : 0);
       row.Add("wall_seconds", row_spec.r->seconds);
       row.Add("tasks", row_spec.r->tasks);
       row.Add("partitions", row_spec.r->partitions);
     }
   }
-  json->top().Add("speedup_at_max_threads", last_speedup);
   json->top().Add("columnar_speedup_at_max_threads", last_columnar_speedup);
-  if (flat_base > 0) {
-    bench::Note(
-        "flat-vs-seed speedup holds the per-pair sync points and the "
-        "per-pair O(|exp|)\npartitioner rescans constant (they are paid once "
-        "per distinct sample, not once\nper pair); on multi-core hosts the "
-        "flat list additionally parallelizes across\npairs, the dominant "
-        "axis of the paper's 2,423-sample workload.");
-  }
-  if (hw <= 1) {
-    bench::Note(
-        "NOTE: this host exposes a single hardware thread; thread-count "
-        "scaling cannot\nexceed ~1x here, so the flat-vs-seed ratio above is "
-        "pure scheduling+indexing\nsavings. On a multi-core host the gap "
-        "widens with the thread count.");
-  }
   bench::Note(
       "col-x is the columnar batch-kernel speedup over the row-structured "
       "flat\nscheduler at the same thread count: the MAP inner loop runs "
@@ -227,20 +187,12 @@ void PrintTable(bench::BenchJson* json) {
 }
 
 void BM_MapScaling(benchmark::State& state) {
-  auto scheduling = state.range(1) == 0 ? engine::SchedulingMode::kPerPair
-                                        : engine::SchedulingMode::kFlat;
   for (auto _ : state) {
-    RunResult r = RunOnce(static_cast<size_t>(state.range(0)), scheduling);
+    RunResult r = RunOnce(static_cast<size_t>(state.range(0)));
     benchmark::DoNotOptimize(r.seconds);
   }
-  state.SetLabel(engine::SchedulingModeName(scheduling));
 }
-BENCHMARK(BM_MapScaling)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MapScaling)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

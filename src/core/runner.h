@@ -30,9 +30,9 @@ struct ExecOptions {
   /// unfused plan — results are identical either way.
   bool fusion = true;
   /// Columnar batch kernels over each sample's cached RegionColumns for
-  /// executors that support them (the parallel engine's flat pipelined MAP /
-  /// DIFFERENCE / COVER). Disable (--no-columnar) to A/B the row-structured
-  /// baseline — results are identical either way.
+  /// executors that support them (the parallel engine's pipelined MAP and
+  /// COVER; its DIFFERENCE is always columnar). Disable (--no-columnar) to
+  /// A/B the row-structured baseline — results are identical either way.
   bool columnar = true;
   /// Distributed-trace context of the enclosing query (minted at serve
   /// admission): invalid = untraced. RunProgram stamps the trace id into

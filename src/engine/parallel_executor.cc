@@ -24,7 +24,6 @@ using core::AggregateSpec;
 using core::FusedTail;
 using core::OpKind;
 using core::Operators;
-using gdm::ChromIndex;
 using gdm::ColumnChunk;
 using gdm::Dataset;
 using gdm::GenomicRegion;
@@ -71,19 +70,6 @@ void SliceSweep(const std::vector<GenomicRegion>& refs, size_t rb, size_t re,
       }
     }
   }
-}
-
-/// Max region length per chromosome of a sorted region list. Only the seed
-/// (kPerPair) partitioner uses this O(|exp|)-per-pair rescan; the flat
-/// scheduler reads the same figures from the sample's cached ChromIndex.
-std::map<int32_t, int64_t> MaxLenByChrom(
-    const std::vector<GenomicRegion>& regions) {
-  std::map<int32_t, int64_t> out;
-  for (const auto& r : regions) {
-    auto& m = out[r.chrom];
-    m = std::max(m, r.length());
-  }
-  return out;
 }
 
 uint64_t SliceBytes(const std::vector<GenomicRegion>& regions, size_t begin,
@@ -224,62 +210,8 @@ const char* BackendKindName(BackendKind kind) {
   return "?";
 }
 
-const char* SchedulingModeName(SchedulingMode mode) {
-  switch (mode) {
-    case SchedulingMode::kFlat:
-      return "flat";
-    case SchedulingMode::kPerPair:
-      return "per-pair";
-  }
-  return "?";
-}
-
 ParallelExecutor::ParallelExecutor(EngineOptions options)
     : options_(options), pool_(options.threads) {}
-
-std::vector<ParallelExecutor::Partition> ParallelExecutor::MakePartitions(
-    const std::vector<GenomicRegion>& refs,
-    const std::vector<GenomicRegion>& exps, int64_t slack) const {
-  std::vector<Partition> out;
-  if (refs.empty()) return out;
-  auto max_len = MaxLenByChrom(exps);
-  size_t i = 0;
-  while (i < refs.size()) {
-    size_t begin = i;
-    int32_t chrom = refs[i].chrom;
-    int64_t span_start = refs[i].left;
-    int64_t max_right = refs[i].right;
-    ++i;
-    while (i < refs.size() && refs[i].chrom == chrom &&
-           refs[i].left < span_start + options_.bin_size) {
-      max_right = std::max(max_right, refs[i].right);
-      ++i;
-    }
-    // Matching exp range: regions whose span (widened by slack) can reach
-    // any ref in [begin, i). Exps are sorted by (chrom, left); use the
-    // chromosome's max exp length to bound how far left to reach.
-    int64_t reach = slack;
-    auto ml = max_len.find(chrom);
-    int64_t exp_len = ml == max_len.end() ? 0 : ml->second;
-    int64_t lo_pos = span_start - reach - exp_len;
-    int64_t hi_pos = max_right + reach;
-    auto lower = std::lower_bound(
-        exps.begin(), exps.end(), std::make_pair(chrom, lo_pos),
-        [](const GenomicRegion& r, const std::pair<int32_t, int64_t>& key) {
-          if (r.chrom != key.first) return r.chrom < key.first;
-          return r.left < key.second;
-        });
-    auto upper = std::lower_bound(
-        exps.begin(), exps.end(), std::make_pair(chrom, hi_pos),
-        [](const GenomicRegion& r, const std::pair<int32_t, int64_t>& key) {
-          if (r.chrom != key.first) return r.chrom < key.first;
-          return r.left < key.second;
-        });
-    out.push_back({begin, i, static_cast<size_t>(lower - exps.begin()),
-                   static_cast<size_t>(upper - exps.begin())});
-  }
-  return out;
-}
 
 Result<gdm::Dataset> ParallelExecutor::Execute(
     const core::PlanNode& node, const std::vector<const Dataset*>& inputs) {
@@ -342,6 +274,52 @@ void ParallelExecutor::RunStage(const char* name, size_t n,
   span.AddAttr("part_max_us", static_cast<double>(skew.max_ns) / 1e3);
 }
 
+Status ParallelExecutor::RunPartitionStages(
+    const char* shuffle_stage, const char* compute_stage,
+    const std::vector<Partition>& parts,
+    const std::function<std::pair<const Regions*, const Regions*>(size_t)>&
+        inputs,
+    const PartitionKernel& kernel) {
+  if (options_.backend == BackendKind::kPipelined) {
+    RunStage(compute_stage, parts.size(), [&](size_t pi) {
+      const Partition& part = parts[pi];
+      auto [refs, exps] = inputs(pi);
+      kernel(pi, *refs, part.ref_begin, part.ref_end, *exps, part.exp_begin,
+             part.exp_end);
+    });
+    return Status::OK();
+  }
+  // Stage 1: serialize every partition (the shuffle write); ONE global
+  // barrier; stage 2: deserialize and compute.
+  std::vector<std::string> ref_buffers(parts.size());
+  std::vector<std::string> exp_buffers(parts.size());
+  RunStage(shuffle_stage, parts.size(), [&](size_t pi) {
+    const Partition& part = parts[pi];
+    auto [refs, exps] = inputs(pi);
+    trace_.shuffle_bytes.fetch_add(
+        SliceBytes(*refs, part.ref_begin, part.ref_end, &ref_buffers[pi]) +
+            SliceBytes(*exps, part.exp_begin, part.exp_end, &exp_buffers[pi]),
+        kRelaxed);
+  });
+  trace_.stage_barriers.fetch_add(1, kRelaxed);
+  obs::ScopedCharge shuffle_charge(
+      ShuffleBufferBytes(ref_buffers, exp_buffers));
+  FirstError errors;
+  RunStage(compute_stage, parts.size(), [&](size_t pi) {
+    if (errors.failed()) return;
+    auto refs = RegionCodec::Decode(ref_buffers[pi]);
+    auto exps = RegionCodec::Decode(exp_buffers[pi]);
+    if (!refs.ok() || !exps.ok()) {
+      errors.Capture(refs.ok() ? exps.status() : refs.status());
+      return;
+    }
+    const Regions& rv = refs.value();
+    const Regions& ev = exps.value();
+    kernel(pi, rv, 0, rv.size(), ev, 0, ev.size());
+  });
+  return errors.status();
+}
+
 Result<gdm::Dataset> ParallelExecutor::ExecuteOp(
     const core::PlanNode& node, const std::vector<const Dataset*>& inputs) {
   switch (node.kind) {
@@ -368,37 +346,25 @@ Result<gdm::Dataset> ParallelExecutor::ExecuteFused(
     return Status::Internal("fused node with no stages");
   }
   const core::PlanNode& producer = *node.fused_stages[0];
-  if (options_.scheduling == SchedulingMode::kFlat) {
-    static obs::Counter* fused_chains =
-        obs::MetricsRegistry::Global().GetCounter(
-            "gdms_engine_fused_chains_total");
-    fused_chains->Add();
-    switch (producer.kind) {
-      case OpKind::kSelect:
-        return ParallelSelect(producer.select, *inputs[0], &node);
-      case OpKind::kMap:
-        return ParallelMap(producer.map, *inputs[0], *inputs[1], &node);
-      case OpKind::kJoin:
-        return ParallelJoin(producer.join, *inputs[0], *inputs[1], &node);
-      case OpKind::kDifference:
-        return ParallelDifference(producer.difference, *inputs[0], *inputs[1],
-                                  &node);
-      case OpKind::kCover:
-        return ParallelCover(producer.cover, *inputs[0], &node);
-      default:
-        break;
-    }
+  static obs::Counter* fused_chains =
+      obs::MetricsRegistry::Global().GetCounter(
+          "gdms_engine_fused_chains_total");
+  fused_chains->Add();
+  switch (producer.kind) {
+    case OpKind::kSelect:
+      return ParallelSelect(producer.select, *inputs[0], &node);
+    case OpKind::kMap:
+      return ParallelMap(producer.map, *inputs[0], *inputs[1], &node);
+    case OpKind::kJoin:
+      return ParallelJoin(producer.join, *inputs[0], *inputs[1], &node);
+    case OpKind::kDifference:
+      return ParallelDifference(producer.difference, *inputs[0], *inputs[1],
+                                &node);
+    case OpKind::kCover:
+      return ParallelCover(producer.cover, *inputs[0], &node);
+    default:
+      return Status::Internal("fused node with unsupported producer kind");
   }
-  // kPerPair baseline (the seed scheduler stays untouched for A/B runs):
-  // decompose the chain — producer through the parallel dispatch, consumer
-  // stages through the sequential fallback.
-  GDMS_ASSIGN_OR_RETURN(gdm::Dataset current, ExecuteOp(producer, inputs));
-  for (size_t i = 1; i < node.fused_stages.size(); ++i) {
-    std::vector<const Dataset*> stage_inputs = {&current};
-    GDMS_ASSIGN_OR_RETURN(
-        current, fallback_.Execute(*node.fused_stages[i], stage_inputs));
-  }
-  return current;
 }
 
 Result<gdm::Dataset> ParallelExecutor::ParallelSelect(
@@ -446,65 +412,30 @@ Result<gdm::Dataset> ParallelExecutor::ParallelDifference(
   Dataset out(fused != nullptr ? tail.output_name() : "DIFFERENCE",
               fused != nullptr ? tail.output_schema() : left.schema());
 
-  if (options_.scheduling == SchedulingMode::kPerPair) {
-    // Seed scheduler: one task per left sample, right side rescanned with
-    // the O(S^2) joinby loop and negatives re-sorted whole per sample.
-    std::vector<Sample> results(left.num_samples());
-    RunStage("difference:samples", left.num_samples(), [&](size_t si) {
-      const Sample& ls = left.sample(si);
-      std::vector<GenomicRegion> negatives;
-      for (const auto& rs : right.samples()) {
-        if (Operators::JoinbyMatch(params.joinby, ls.metadata, rs.metadata)) {
-          negatives.insert(negatives.end(), rs.regions.begin(),
-                           rs.regions.end());
-        }
-      }
-      Sample ns(ls.id);
-      ns.metadata = ls.metadata;
-      if (negatives.empty()) {
-        ns.regions = ls.regions;
-      } else {
-        gdm::SortRegions(&negatives);
-        auto flags = interval::ExistsOverlap(ls.regions, negatives);
-        for (size_t i = 0; i < ls.regions.size(); ++i) {
-          if (!flags[i]) ns.regions.push_back(ls.regions[i]);
-        }
-      }
-      results[si] = std::move(ns);
-    });
-    for (auto& s : results) out.AddSample(std::move(s));
-    return out;
-  }
-
-  // Flat scheduler: tasks span (left sample x chromosome). Negatives are
-  // gathered per chromosome through each matched right sample's cached
-  // index, so only same-chromosome slices are merged and sorted — overlap
-  // never crosses chromosomes, so per-chromosome difference equals the
-  // whole-sample difference.
+  // Tasks span (left sample x chromosome). Negatives are gathered per
+  // chromosome as bare coordinate pairs out of each matched right sample's
+  // columns (no Value payload copies), and the exists-sweep runs over packed
+  // coordinate arrays — overlap never crosses chromosomes, so
+  // per-chromosome difference equals the whole-sample difference.
   auto pair_idx = MatchJoinbyPairs(left, right, params.joinby);
   std::vector<std::vector<const Sample*>> matched(left.num_samples());
   for (const auto& [l, r] : pair_idx) matched[l].push_back(&right.sample(r));
 
-  // Columnar fast path: negatives are gathered as bare coordinate pairs out
-  // of each matched right sample's columns (no Value payload copies), and
-  // the exists-sweep runs over packed coordinate arrays. The caches build
-  // lazily and thread-safely; this stage only pre-builds them in parallel so
-  // overlapping tasks don't duplicate the work.
-  bool use_columnar = options_.columnar;
-  if (use_columnar) {
-    std::vector<std::pair<const Sample*, const Dataset*>> to_build;
-    to_build.reserve(left.num_samples());
-    for (const auto& s : left.samples()) to_build.emplace_back(&s, &left);
-    std::unordered_map<const Sample*, char> seen;
-    for (const auto& per_left : matched) {
-      for (const Sample* rs : per_left) {
-        if (seen.emplace(rs, 1).second) to_build.emplace_back(rs, &right);
-      }
+  // The column caches build lazily and thread-safely; this stage only
+  // pre-builds them in parallel so overlapping tasks don't duplicate the
+  // work.
+  std::vector<std::pair<const Sample*, const Dataset*>> to_build;
+  to_build.reserve(left.num_samples());
+  for (const auto& s : left.samples()) to_build.emplace_back(&s, &left);
+  std::unordered_map<const Sample*, char> seen;
+  for (const auto& per_left : matched) {
+    for (const Sample* rs : per_left) {
+      if (seen.emplace(rs, 1).second) to_build.emplace_back(rs, &right);
     }
-    RunStage("difference:columnarize", to_build.size(), [&](size_t i) {
-      (void)to_build[i].first->columns(to_build[i].second->schema());
-    });
   }
+  RunStage("difference:columnarize", to_build.size(), [&](size_t i) {
+    (void)to_build[i].first->columns(to_build[i].second->schema());
+  });
 
   struct DiffTask {
     size_t sample;
@@ -516,15 +447,8 @@ Result<gdm::Dataset> ParallelExecutor::ParallelDifference(
   std::vector<std::pair<size_t, size_t>> task_range(left.num_samples());
   for (size_t si = 0; si < left.num_samples(); ++si) {
     task_range[si].first = tasks.size();
-    if (use_columnar) {
-      // The columns' chunk directory subsumes ChromIndex here.
-      for (const auto& c : left.sample(si).columns(left.schema()).chunks()) {
-        tasks.push_back({si, c.chrom, c.begin, c.end});
-      }
-    } else {
-      for (const auto& slice : left.sample(si).chrom_index().slices()) {
-        tasks.push_back({si, slice.chrom, slice.begin, slice.end});
-      }
+    for (const auto& c : left.sample(si).columns(left.schema()).chunks()) {
+      tasks.push_back({si, c.chrom, c.begin, c.end});
     }
     task_range[si].second = tasks.size();
   }
@@ -534,62 +458,39 @@ Result<gdm::Dataset> ParallelExecutor::ParallelDifference(
   RunStage("difference:partitions", tasks.size(), [&](size_t ti) {
     const DiffTask& t = tasks[ti];
     const Sample& ls = left.sample(t.sample);
-    if (use_columnar) {
-      trace_.columnar_tasks.fetch_add(1, kRelaxed);
-      std::vector<std::pair<int64_t, int64_t>> negs;
-      for (const Sample* rs : matched[t.sample]) {
-        const RegionColumns& rc = rs->columns(right.schema());
-        const ColumnChunk* ch = rc.FindChunk(t.chrom);
-        if (ch == nullptr) continue;
-        negs.reserve(negs.size() + (ch->end - ch->begin));
-        for (size_t i = ch->begin; i < ch->end; ++i) {
-          negs.emplace_back(rc.left(i), rc.right(i));
-        }
-      }
-      size_t n = t.end - t.begin;
-      if (negs.empty()) {
-        kept[ti].assign(ls.regions.begin() + t.begin,
-                        ls.regions.begin() + t.end);
-        return;
-      }
-      std::sort(negs.begin(), negs.end());
-      std::vector<int64_t> neg_l(negs.size()), neg_r(negs.size());
-      for (size_t i = 0; i < negs.size(); ++i) {
-        neg_l[i] = negs[i].first;
-        neg_r[i] = negs[i].second;
-      }
-      interval::CoordView nview;
-      nview.l64 = neg_l.data();
-      nview.r64 = neg_r.data();
-      nview.size = negs.size();
-      const RegionColumns& lcols = ls.columns(left.schema());
-      interval::CoordView rview = interval::CoordView::Of(lcols, t.begin,
-                                                          t.end);
-      std::vector<char> flags(n, 0);
-      interval::ExistsOverlapInto(rview, nview, 0, &flags);
-      for (size_t i = 0; i < n; ++i) {
-        if (!flags[i]) kept[ti].push_back(ls.regions[t.begin + i]);
-      }
-      return;
-    }
-    std::vector<GenomicRegion> negatives;
+    trace_.columnar_tasks.fetch_add(1, kRelaxed);
+    std::vector<std::pair<int64_t, int64_t>> negs;
     for (const Sample* rs : matched[t.sample]) {
-      const ChromIndex::Slice* slice = rs->chrom_index().FindSlice(t.chrom);
-      if (slice != nullptr) {
-        negatives.insert(negatives.end(), rs->regions.begin() + slice->begin,
-                         rs->regions.begin() + slice->end);
+      const RegionColumns& rc = rs->columns(right.schema());
+      const ColumnChunk* ch = rc.FindChunk(t.chrom);
+      if (ch == nullptr) continue;
+      negs.reserve(negs.size() + (ch->end - ch->begin));
+      for (size_t i = ch->begin; i < ch->end; ++i) {
+        negs.emplace_back(rc.left(i), rc.right(i));
       }
     }
-    std::vector<GenomicRegion> refs(ls.regions.begin() + t.begin,
-                                    ls.regions.begin() + t.end);
-    if (negatives.empty()) {
-      kept[ti] = std::move(refs);
+    if (negs.empty()) {
+      kept[ti].assign(ls.regions.begin() + t.begin,
+                      ls.regions.begin() + t.end);
       return;
     }
-    gdm::SortRegions(&negatives);
-    auto flags = interval::ExistsOverlap(refs, negatives);
-    for (size_t i = 0; i < refs.size(); ++i) {
-      if (!flags[i]) kept[ti].push_back(std::move(refs[i]));
+    std::sort(negs.begin(), negs.end());
+    std::vector<int64_t> neg_l(negs.size()), neg_r(negs.size());
+    for (size_t i = 0; i < negs.size(); ++i) {
+      neg_l[i] = negs[i].first;
+      neg_r[i] = negs[i].second;
+    }
+    interval::CoordView nview;
+    nview.l64 = neg_l.data();
+    nview.r64 = neg_r.data();
+    nview.size = negs.size();
+    interval::CoordView rview =
+        interval::CoordView::Of(ls.columns(left.schema()), t.begin, t.end);
+    size_t n = t.end - t.begin;
+    std::vector<char> flags(n, 0);
+    interval::ExistsOverlapInto(rview, nview, 0, &flags);
+    for (size_t i = 0; i < n; ++i) {
+      if (!flags[i]) kept[ti].push_back(ls.regions[t.begin + i]);
     }
   });
 
@@ -629,128 +530,19 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
               fused != nullptr ? tail.output_schema() : schema);
 
   auto pair_idx = MatchJoinbyPairs(ref, exp, params.joinby);
-  std::vector<Sample> results(pair_idx.size());
 
-  // Runs one partition's aggregation, writing finished values into the
-  // pair's agg_values rows (rows are disjoint across partitions). `rb` is 0
-  // with `part.ref_begin` as the output offset when refs were rehydrated
-  // from the shuffle codec.
-  auto compute = [&](std::vector<std::vector<Value>>& agg_values,
-                     const Partition& part,
-                     const std::vector<GenomicRegion>& refs, size_t rb,
-                     size_t re, const std::vector<GenomicRegion>& exps,
-                     size_t eb, size_t ee) {
-    std::vector<std::vector<AggAccumulator>> accs(re - rb);
-    for (auto& row : accs) {
-      row.reserve(specs.size());
-      for (const auto& spec : specs) row.emplace_back(spec.func);
-    }
-    SliceSweep(refs, rb, re, exps, eb, ee, 0, [&](size_t i, size_t a) {
-      if (!refs[i].Overlaps(exps[a])) return;
-      auto& row = accs[i - rb];
-      for (size_t x = 0; x < specs.size(); ++x) {
-        if (agg_inputs[x] == SIZE_MAX) {
-          row[x].AddRegion();
-        } else {
-          row[x].Add(exps[a].values[agg_inputs[x]]);
-        }
-      }
-    });
-    for (size_t i = 0; i < accs.size(); ++i) {
-      std::vector<Value> vals;
-      vals.reserve(specs.size());
-      for (auto& acc : accs[i]) vals.push_back(acc.Finish());
-      agg_values[part.ref_begin + i] = std::move(vals);
-    }
-  };
-
-  // Builds the output sample for one pair from its finished agg rows.
-  auto assemble = [&](const Sample& rs, const Sample& es,
-                      std::vector<std::vector<Value>>& agg_values) {
-    Sample ns = Operators::DerivedSample("MAP", rs, es, false);
-    ns.regions.reserve(rs.regions.size());
-    for (size_t ri = 0; ri < rs.regions.size(); ++ri) {
-      GenomicRegion nr = rs.regions[ri];
-      if (agg_values[ri].empty()) {
-        // Ref region fell into a partition with no exps; finish empty accs.
-        for (const auto& spec : specs) {
-          nr.values.push_back(AggAccumulator(spec.func).Finish());
-        }
-      } else {
-        for (auto& v : agg_values[ri]) nr.values.push_back(std::move(v));
-      }
-      ns.regions.push_back(std::move(nr));
-    }
-    return ns;
-  };
-
-  if (options_.scheduling == SchedulingMode::kPerPair) {
-    // Seed scheduler: sequential outer loop, one ParallelFor per pair (a
-    // stage barrier per pair for the materialized backend).
-    for (size_t p = 0; p < pair_idx.size(); ++p) {
-      const Sample& rs = ref.sample(pair_idx[p].first);
-      const Sample& es = exp.sample(pair_idx[p].second);
-      auto partitions = MakePartitions(rs.regions, es.regions, 0);
-      trace_.partitions.fetch_add(partitions.size(), kRelaxed);
-      std::vector<std::vector<Value>> agg_values(rs.regions.size());
-
-      if (options_.backend == BackendKind::kMaterialized) {
-        std::vector<std::string> ref_buffers(partitions.size());
-        std::vector<std::string> exp_buffers(partitions.size());
-        RunStage("map:shuffle-write", partitions.size(), [&](size_t pi) {
-          const Partition& part = partitions[pi];
-          trace_.shuffle_bytes.fetch_add(
-              SliceBytes(rs.regions, part.ref_begin, part.ref_end,
-                         &ref_buffers[pi]),
-              kRelaxed);
-          trace_.shuffle_bytes.fetch_add(
-              SliceBytes(es.regions, part.exp_begin, part.exp_end,
-                         &exp_buffers[pi]),
-              kRelaxed);
-        });
-        trace_.stage_barriers.fetch_add(1, kRelaxed);
-        obs::ScopedCharge shuffle_charge(
-            ShuffleBufferBytes(ref_buffers, exp_buffers));
-        FirstError errors;
-        RunStage("map:compute", partitions.size(), [&](size_t pi) {
-          if (errors.failed()) return;
-          auto refs = RegionCodec::Decode(ref_buffers[pi]);
-          auto exps = RegionCodec::Decode(exp_buffers[pi]);
-          if (!refs.ok() || !exps.ok()) {
-            errors.Capture(refs.ok() ? exps.status() : refs.status());
-            return;
-          }
-          const auto& rv = refs.value();
-          const auto& ev = exps.value();
-          compute(agg_values, partitions[pi], rv, 0, rv.size(), ev, 0,
-                  ev.size());
-        });
-        GDMS_RETURN_NOT_OK(errors.status());
-      } else {
-        RunStage("map:compute", partitions.size(), [&](size_t pi) {
-          const Partition& part = partitions[pi];
-          compute(agg_values, part, rs.regions, part.ref_begin, part.ref_end,
-                  es.regions, part.exp_begin, part.exp_end);
-        });
-      }
-      results[p] = assemble(rs, es, agg_values);
-    }
-    for (auto& s : results) out.AddSample(std::move(s));
-    return out;
-  }
-
-  // Flat scheduler: ONE task list spanning every pair x partition. Ref
-  // chunks are computed once per distinct ref sample; exp ranges come from
-  // the exp sample's cached ChromIndex — or, on the columnar fast path, from
-  // the sample's RegionColumns chunk directory (built here, on the calling
-  // thread; both caches are also safe to build concurrently).
+  // ONE task list spanning every pair x partition. Ref chunks are computed
+  // once per distinct ref sample; exp ranges come from the exp sample's
+  // cached ChromIndex — or, on the columnar fast path, from the sample's
+  // RegionColumns chunk directory (built here, on the calling thread; both
+  // caches are also safe to build concurrently).
   //
   // Columnar fast path: the compute stage sweeps the packed coordinate
   // columns (no Value payloads in the cache lines), buffers the match list,
   // and folds each aggregate's input column over it into per-ref-row moment
   // arrays; rows are only touched again at assembly. Match emission order
   // equals the row sweep's, so double accumulation is bit-identical.
-  bool use_columnar = options_.columnar &&
+  bool use_columnar = columnar_ &&
                       options_.backend == BackendKind::kPipelined &&
                       ColumnarMapEligible(specs);
   struct PairState {
@@ -758,8 +550,6 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
     const Sample* es;
     const RegionColumns* rcols = nullptr;
     const RegionColumns* ecols = nullptr;
-    size_t part_begin;
-    size_t part_end;
     std::vector<std::vector<Value>> agg_values;  // row path
     std::vector<int64_t> match_count;            // columnar path
     std::vector<SpecMoments> moments;            // columnar path, per spec
@@ -805,50 +595,13 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
                              ps.es->chrom_index(), 0);
       ps.agg_values.resize(ps.rs->regions.size());
     }
-    ps.part_begin = parts.size();
     parts.insert(parts.end(), bound.begin(), bound.end());
-    ps.part_end = parts.size();
     owner.resize(parts.size(), pairs.size());
     pairs.push_back(std::move(ps));
   }
   trace_.partitions.fetch_add(parts.size(), kRelaxed);
 
-  if (options_.backend == BackendKind::kMaterialized) {
-    // Stage 1: serialize every partition of every pair (the shuffle write);
-    // ONE global barrier; stage 2: deserialize and compute.
-    std::vector<std::string> ref_buffers(parts.size());
-    std::vector<std::string> exp_buffers(parts.size());
-    RunStage("map:shuffle-write", parts.size(), [&](size_t pi) {
-      const PairState& ps = pairs[owner[pi]];
-      const Partition& part = parts[pi];
-      trace_.shuffle_bytes.fetch_add(
-          SliceBytes(ps.rs->regions, part.ref_begin, part.ref_end,
-                     &ref_buffers[pi]),
-          kRelaxed);
-      trace_.shuffle_bytes.fetch_add(
-          SliceBytes(ps.es->regions, part.exp_begin, part.exp_end,
-                     &exp_buffers[pi]),
-          kRelaxed);
-    });
-    trace_.stage_barriers.fetch_add(1, kRelaxed);
-    obs::ScopedCharge shuffle_charge(
-        ShuffleBufferBytes(ref_buffers, exp_buffers));
-    FirstError errors;
-    RunStage("map:compute", parts.size(), [&](size_t pi) {
-      if (errors.failed()) return;
-      auto refs = RegionCodec::Decode(ref_buffers[pi]);
-      auto exps = RegionCodec::Decode(exp_buffers[pi]);
-      if (!refs.ok() || !exps.ok()) {
-        errors.Capture(refs.ok() ? exps.status() : refs.status());
-        return;
-      }
-      const auto& rv = refs.value();
-      const auto& ev = exps.value();
-      compute(pairs[owner[pi]].agg_values, parts[pi], rv, 0, rv.size(), ev, 0,
-              ev.size());
-    });
-    GDMS_RETURN_NOT_OK(errors.status());
-  } else if (use_columnar) {
+  if (use_columnar) {
     RunStage("map:compute", parts.size(), [&](size_t pi) {
       PairState& ps = pairs[owner[pi]];
       const Partition& part = parts[pi];
@@ -874,22 +627,51 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
       }
     });
   } else {
-    RunStage("map:compute", parts.size(), [&](size_t pi) {
-      PairState& ps = pairs[owner[pi]];
-      const Partition& part = parts[pi];
-      compute(ps.agg_values, part, ps.rs->regions, part.ref_begin,
-              part.ref_end, ps.es->regions, part.exp_begin, part.exp_end);
-    });
+    // Row kernel: aggregates refs[rb, re) — output rows from
+    // parts[pi].ref_begin on, disjoint across partitions — into the pair's
+    // agg_values.
+    GDMS_RETURN_NOT_OK(RunPartitionStages(
+        "map:shuffle-write", "map:compute", parts,
+        [&](size_t pi) {
+          const PairState& ps = pairs[owner[pi]];
+          return std::make_pair(&ps.rs->regions, &ps.es->regions);
+        },
+        [&](size_t pi, const Regions& refs, size_t rb, size_t re,
+            const Regions& exps, size_t eb, size_t ee) {
+          std::vector<std::vector<AggAccumulator>> accs(re - rb);
+          for (auto& row : accs) {
+            row.reserve(specs.size());
+            for (const auto& spec : specs) row.emplace_back(spec.func);
+          }
+          SliceSweep(refs, rb, re, exps, eb, ee, 0, [&](size_t i, size_t a) {
+            if (!refs[i].Overlaps(exps[a])) return;
+            auto& row = accs[i - rb];
+            for (size_t x = 0; x < specs.size(); ++x) {
+              if (agg_inputs[x] == SIZE_MAX) {
+                row[x].AddRegion();
+              } else {
+                row[x].Add(exps[a].values[agg_inputs[x]]);
+              }
+            }
+          });
+          auto& agg_values = pairs[owner[pi]].agg_values;
+          for (size_t i = 0; i < accs.size(); ++i) {
+            std::vector<Value> vals;
+            vals.reserve(specs.size());
+            for (auto& acc : accs[i]) vals.push_back(acc.Finish());
+            agg_values[parts[pi].ref_begin + i] = std::move(vals);
+          }
+        }));
   }
 
+  std::vector<Sample> results(pairs.size());
   std::vector<char> emit(pairs.size(), 1);
   RunStage("map:assemble", pairs.size(), [&](size_t p) {
     PairState& ps = pairs[p];
-    Sample ns;
-    if (use_columnar) {
-      ns = Operators::DerivedSample("MAP", *ps.rs, *ps.es, false);
-      ns.regions.reserve(ps.rs->regions.size());
-      for (size_t ri = 0; ri < ps.rs->regions.size(); ++ri) {
+    Sample ns = Operators::DerivedSample("MAP", *ps.rs, *ps.es, false);
+    ns.regions.reserve(ps.rs->regions.size());
+    for (size_t ri = 0; ri < ps.rs->regions.size(); ++ri) {
+      if (use_columnar) {
         const GenomicRegion& src = ps.rs->regions[ri];
         GenomicRegion nr(src.chrom, src.left, src.right, src.strand);
         nr.values.reserve(src.values.size() + specs.size());
@@ -900,9 +682,18 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
               ps.moments[x].Finish(specs[x].func, ri, ps.match_count[ri]));
         }
         ns.regions.push_back(std::move(nr));
+        continue;
       }
-    } else {
-      ns = assemble(*ps.rs, *ps.es, ps.agg_values);
+      GenomicRegion nr = ps.rs->regions[ri];
+      if (ps.agg_values[ri].empty()) {
+        // Ref region fell into a partition with no exps; finish empty accs.
+        for (const auto& spec : specs) {
+          nr.values.push_back(AggAccumulator(spec.func).Finish());
+        }
+      } else {
+        for (auto& v : ps.agg_values[ri]) nr.values.push_back(std::move(v));
+      }
+      ns.regions.push_back(std::move(nr));
     }
     if (fused != nullptr && !tail.ApplySample(&ns)) emit[p] = 0;
     results[p] = std::move(ns);
@@ -948,73 +739,8 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
 
   int64_t window = std::max<int64_t>(0, params.predicate.max_dist) + 1;
 
-  if (options_.scheduling == SchedulingMode::kPerPair) {
-    for (size_t p = 0; p < pair_idx.size(); ++p) {
-      const Sample& ls = left.sample(pair_idx[p].first);
-      const Sample& rsamp = right.sample(pair_idx[p].second);
-      Sample ns = Operators::DerivedSample("JOIN", ls, rsamp, true);
-      auto partitions = MakePartitions(ls.regions, rsamp.regions, window);
-      trace_.partitions.fetch_add(partitions.size(), kRelaxed);
-      std::vector<std::vector<GenomicRegion>> chunk_out(partitions.size());
-
-      if (options_.backend == BackendKind::kMaterialized) {
-        std::vector<std::string> lbuf(partitions.size());
-        std::vector<std::string> rbuf(partitions.size());
-        RunStage("join:shuffle-write", partitions.size(), [&](size_t pi) {
-          const Partition& part = partitions[pi];
-          trace_.shuffle_bytes.fetch_add(
-              SliceBytes(ls.regions, part.ref_begin, part.ref_end, &lbuf[pi]),
-              kRelaxed);
-          trace_.shuffle_bytes.fetch_add(
-              SliceBytes(rsamp.regions, part.exp_begin, part.exp_end,
-                         &rbuf[pi]),
-              kRelaxed);
-        });
-        trace_.stage_barriers.fetch_add(1, kRelaxed);
-        obs::ScopedCharge shuffle_charge(ShuffleBufferBytes(lbuf, rbuf));
-        FirstError errors;
-        RunStage("join:compute", partitions.size(), [&](size_t pi) {
-          if (errors.failed()) return;
-          auto lr = RegionCodec::Decode(lbuf[pi]);
-          auto rr = RegionCodec::Decode(rbuf[pi]);
-          if (!lr.ok() || !rr.ok()) {
-            errors.Capture(lr.ok() ? rr.status() : lr.status());
-            return;
-          }
-          const auto& lv = lr.value();
-          const auto& rv = rr.value();
-          SliceSweep(lv, 0, lv.size(), rv, 0, rv.size(), window,
-                     [&](size_t i, size_t a) {
-                       Operators::JoinEmit(params, lv[i], rv[a],
-                                           &chunk_out[pi]);
-                     });
-        });
-        GDMS_RETURN_NOT_OK(errors.status());
-      } else {
-        RunStage("join:compute", partitions.size(), [&](size_t pi) {
-          const Partition& part = partitions[pi];
-          SliceSweep(ls.regions, part.ref_begin, part.ref_end, rsamp.regions,
-                     part.exp_begin, part.exp_end, window,
-                     [&](size_t i, size_t a) {
-                       Operators::JoinEmit(params, ls.regions[i],
-                                           rsamp.regions[a], &chunk_out[pi]);
-                     });
-        });
-      }
-      for (auto& chunk : chunk_out) {
-        ns.regions.insert(ns.regions.end(),
-                          std::make_move_iterator(chunk.begin()),
-                          std::make_move_iterator(chunk.end()));
-      }
-      ns.SortNow();
-      results[p] = std::move(ns);
-    }
-    for (auto& s : results) out.AddSample(std::move(s));
-    return out;
-  }
-
-  // Flat scheduler: one task list over all pairs x partitions, then a
-  // parallel per-pair assembly (concatenate + sort).
+  // One task list over all pairs x partitions, then a parallel per-pair
+  // assembly (concatenate + sort).
   struct PairState {
     const Sample* ls;
     const Sample* rs;
@@ -1041,50 +767,18 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
   trace_.partitions.fetch_add(parts.size(), kRelaxed);
 
   std::vector<std::vector<GenomicRegion>> chunk_out(parts.size());
-  if (options_.backend == BackendKind::kMaterialized) {
-    std::vector<std::string> lbuf(parts.size());
-    std::vector<std::string> rbuf(parts.size());
-    RunStage("join:shuffle-write", parts.size(), [&](size_t pi) {
-      const PairState& ps = pairs[owner[pi]];
-      const Partition& part = parts[pi];
-      trace_.shuffle_bytes.fetch_add(
-          SliceBytes(ps.ls->regions, part.ref_begin, part.ref_end, &lbuf[pi]),
-          kRelaxed);
-      trace_.shuffle_bytes.fetch_add(
-          SliceBytes(ps.rs->regions, part.exp_begin, part.exp_end, &rbuf[pi]),
-          kRelaxed);
-    });
-    trace_.stage_barriers.fetch_add(1, kRelaxed);
-    obs::ScopedCharge shuffle_charge(ShuffleBufferBytes(lbuf, rbuf));
-    FirstError errors;
-    RunStage("join:compute", parts.size(), [&](size_t pi) {
-      if (errors.failed()) return;
-      auto lr = RegionCodec::Decode(lbuf[pi]);
-      auto rr = RegionCodec::Decode(rbuf[pi]);
-      if (!lr.ok() || !rr.ok()) {
-        errors.Capture(lr.ok() ? rr.status() : lr.status());
-        return;
-      }
-      const auto& lv = lr.value();
-      const auto& rv = rr.value();
-      SliceSweep(lv, 0, lv.size(), rv, 0, rv.size(), window,
-                 [&](size_t i, size_t a) {
-                   Operators::JoinEmit(params, lv[i], rv[a], &chunk_out[pi]);
-                 });
-    });
-    GDMS_RETURN_NOT_OK(errors.status());
-  } else {
-    RunStage("join:compute", parts.size(), [&](size_t pi) {
-      const PairState& ps = pairs[owner[pi]];
-      const Partition& part = parts[pi];
-      SliceSweep(ps.ls->regions, part.ref_begin, part.ref_end, ps.rs->regions,
-                 part.exp_begin, part.exp_end, window,
-                 [&](size_t i, size_t a) {
-                   Operators::JoinEmit(params, ps.ls->regions[i],
-                                       ps.rs->regions[a], &chunk_out[pi]);
-                 });
-    });
-  }
+  GDMS_RETURN_NOT_OK(RunPartitionStages(
+      "join:shuffle-write", "join:compute", parts,
+      [&](size_t pi) {
+        const PairState& ps = pairs[owner[pi]];
+        return std::make_pair(&ps.ls->regions, &ps.rs->regions);
+      },
+      [&](size_t pi, const Regions& lv, size_t lb, size_t le,
+          const Regions& rv, size_t rb, size_t re) {
+        SliceSweep(lv, lb, le, rv, rb, re, window, [&](size_t i, size_t a) {
+          Operators::JoinEmit(params, lv[i], rv[a], &chunk_out[pi]);
+        });
+      }));
 
   std::vector<char> emit(pairs.size(), 1);
   RunStage("join:assemble", pairs.size(), [&](size_t p) {
@@ -1171,7 +865,7 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
   // no aggregates (FLAT and aggregate rows read the pooled inputs back) and
   // the pipelined backend (materialized ships row slices through the
   // shuffle codec).
-  bool use_columnar = options_.columnar &&
+  bool use_columnar = columnar_ &&
                       options_.backend == BackendKind::kPipelined &&
                       params.variant != core::CoverVariant::kFlat &&
                       params.aggregates.empty();
@@ -1203,7 +897,7 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
   };
 
   // Pool and sort member regions, then find the chromosome segments of the
-  // pooled list. Under the flat scheduler this runs per-group in parallel.
+  // pooled list.
   auto pool_group = [](GroupWork* g) {
     size_t total = 0;
     for (const auto* m : g->members) total += m->regions.size();
@@ -1225,8 +919,8 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
     }
   };
 
-  // Phase bodies shared by both schedulers; all flat arrays are indexed by
-  // g.seg_offset + local segment index.
+  // Per-segment phase state; all flat arrays are indexed by g.seg_offset +
+  // local segment index.
   struct SegState {
     std::vector<interval::AccSegment> profile;
     std::vector<GenomicRegion> inputs;
@@ -1340,32 +1034,8 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
     return ns;
   };
 
-  if (options_.scheduling == SchedulingMode::kPerPair) {
-    // Seed scheduler: sequential loop over groups, segment parallelism
-    // within each group only (a stage barrier per group when materialized).
-    for (auto& g : groups) {
-      pool_group(&g);
-      trace_.partitions.fetch_add(g.segs.size(), kRelaxed);
-      std::vector<SegState> states(g.segs.size());
-      FirstError errors;
-      RunStage("cover:profile", g.segs.size(), [&](size_t si) {
-        profile_segment(g, si, &states[si], &errors);
-      });
-      GDMS_RETURN_NOT_OK(errors.status());
-      if (options_.backend == BackendKind::kMaterialized) {
-        trace_.stage_barriers.fetch_add(1, kRelaxed);
-      }
-      resolve_bounds(&g, states);
-      RunStage("cover:compute", g.segs.size(), [&](size_t si) {
-        compute_segment(g, &states[si]);
-      });
-      out.AddSample(assemble(g, states));
-    }
-    return out;
-  }
-
-  // Flat scheduler: pool every group in parallel, then run ONE task list
-  // over all (group x segment) pairs per phase.
+  // Pool every group in parallel, then run ONE task list over all
+  // (group x segment) pairs per phase.
   RunStage("cover:pool", groups.size(), [&](size_t gi) {
     if (use_columnar) {
       pool_group_columnar(&groups[gi]);

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -27,34 +29,12 @@ enum class BackendKind {
 
 const char* BackendKindName(BackendKind kind);
 
-/// Task-graph shape of the data-parallel operators.
-enum class SchedulingMode {
-  /// One flat task list spanning ALL sample pairs/groups x genomic
-  /// partitions, run through a single ParallelFor (one barrier per stage
-  /// for the materialized backend). The pair axis — dominant at paper scale
-  /// (Section 2: 2,423 samples) — parallelizes fully.
-  kFlat,
-  /// The seed scheduler: a sequential outer loop over sample pairs with a
-  /// ParallelFor per pair. Kept for before/after benchmarking (E7).
-  kPerPair,
-};
-
-const char* SchedulingModeName(SchedulingMode mode);
-
 struct EngineOptions {
   /// Worker threads; 0 = hardware concurrency.
   size_t threads = 0;
   /// Genomic bin width for range-partitioning within a chromosome.
   int64_t bin_size = 5000000;
   BackendKind backend = BackendKind::kPipelined;
-  SchedulingMode scheduling = SchedulingMode::kFlat;
-  /// Columnar fast path: under the flat pipelined scheduler, MAP /
-  /// DIFFERENCE / COVER kernels sweep each sample's cached RegionColumns
-  /// (gdm/region_columns.h) instead of the row-structured region vectors,
-  /// restoring rows only at assembly. Results are identical to the row
-  /// path (the engine tests assert bit-exact equality); disable to A/B the
-  /// row baseline (shell flag --no-columnar).
-  bool columnar = true;
 };
 
 /// Accumulated execution accounting (reset per Execute call chain via
@@ -73,8 +53,8 @@ struct EngineTrace {
   std::atomic<uint64_t> shuffle_bytes{0};
   std::atomic<uint64_t> stage_barriers{0};
   /// Compute tasks that ran through a columnar batch kernel instead of the
-  /// row sweep (EngineOptions::columnar; flat pipelined MAP / DIFFERENCE /
-  /// COVER only).
+  /// row sweep: every DIFFERENCE task, and pipelined MAP / COVER tasks while
+  /// the columnar toggle is on (set_columnar).
   std::atomic<uint64_t> columnar_tasks{0};
 
   void Reset() {
@@ -91,14 +71,18 @@ struct EngineTrace {
 /// SELECT, MAP, JOIN, DIFFERENCE and COVER are parallelized by
 /// (sample-pair x genomic partition); every other operator delegates to the
 /// sequential reference implementation (they are metadata-bound and cheap).
-/// Under SchedulingMode::kFlat the full pair x partition cross product is
-/// one flat task list, and fused plan nodes (kFused) pipe each finished
+/// Each operator runs its full pair x partition cross product as one flat
+/// task list per stage, and fused plan nodes (kFused) pipe each finished
 /// sample straight through the chain's consumer stages (SELECT / PROJECT /
 /// EXTEND) inside the producer's assembly tasks — the intermediate dataset
-/// between the logical operators is never allocated. Under kPerPair a fused
-/// node decomposes back into its stages (the seed scheduler stays an
-/// untouched baseline). Results are sample-for-sample equal to the
-/// ReferenceExecutor — the engine tests assert exactly that.
+/// between the logical operators is never allocated. The backend choice
+/// (BackendKind) is one call per operator: MAP and JOIN hand their
+/// partitions to RunPartitionStages, which either computes them in place or
+/// routes them through the shuffle codec behind one barrier. DIFFERENCE
+/// always runs the columnar kernel; the columnar toggle (set_columnar)
+/// selects between row and columnar kernels for pipelined MAP and COVER.
+/// Results are sample-for-sample equal to the ReferenceExecutor — the
+/// engine tests assert exactly that.
 class ParallelExecutor : public core::Executor {
  public:
   explicit ParallelExecutor(EngineOptions options = {});
@@ -118,13 +102,18 @@ class ParallelExecutor : public core::Executor {
   }
   void ResetStats() override { trace_.Reset(); }
 
-  void set_columnar(bool on) override { options_.columnar = on; }
-  bool columnar() const override { return options_.columnar; }
+  void set_columnar(bool on) override { columnar_ = on; }
+  bool columnar() const override { return columnar_; }
 
   const EngineOptions& options() const { return options_; }
 
  private:
   using Partition = TaskPartition;
+  using Regions = std::vector<gdm::GenomicRegion>;
+  /// Computes one partition over refs[rb, re) x exps[eb, ee).
+  using PartitionKernel =
+      std::function<void(size_t pi, const Regions& refs, size_t rb, size_t re,
+                         const Regions& exps, size_t eb, size_t ee)>;
 
   /// Operator dispatch (the switch); Execute wraps it to publish counter
   /// deltas into the metrics registry.
@@ -139,17 +128,22 @@ class ParallelExecutor : public core::Executor {
   void RunStage(const char* name, size_t n,
                 const std::function<void(size_t)>& fn);
 
-  /// The seed partitioner (SchedulingMode::kPerPair): splits a sorted ref
-  /// list into (chrom, bin-range) chunks and attaches the matching exp
-  /// range widened by `slack`, rescanning exps for max lengths every call.
-  std::vector<Partition> MakePartitions(
-      const std::vector<gdm::GenomicRegion>& refs,
-      const std::vector<gdm::GenomicRegion>& exps, int64_t slack) const;
+  /// The backend's stage boundary for the row kernels of MAP and JOIN.
+  /// Partition `pi` covers parts[pi]'s ranges of the region lists returned
+  /// by `inputs(pi)`. Pipelined: one `compute_stage` runs `kernel` over the
+  /// slices in place. Materialized: `shuffle_stage` encodes both slices of
+  /// every partition, ONE barrier is counted, the buffers are charged to
+  /// the active query while they live, and `compute_stage` decodes each
+  /// partition (first decode error wins) and runs `kernel` on the copies.
+  Status RunPartitionStages(
+      const char* shuffle_stage, const char* compute_stage,
+      const std::vector<Partition>& parts,
+      const std::function<std::pair<const Regions*, const Regions*>(size_t)>&
+          inputs,
+      const PartitionKernel& kernel);
 
-  /// Fused-chain dispatch: under kFlat the producer's Parallel* overload
-  /// runs with the chain's consumer stages bound as a FusedTail; under
-  /// kPerPair the chain decomposes into its stages (producer through the
-  /// parallel dispatch, consumers through the sequential fallback).
+  /// Fused-chain dispatch: the producer's Parallel* overload runs with the
+  /// chain's consumer stages bound as a FusedTail.
   Result<gdm::Dataset> ExecuteFused(
       const core::PlanNode& node,
       const std::vector<const gdm::Dataset*>& inputs);
@@ -176,6 +170,7 @@ class ParallelExecutor : public core::Executor {
                                      const core::PlanNode* fused = nullptr);
 
   EngineOptions options_;
+  bool columnar_ = true;
   ThreadPool pool_;
   core::ReferenceExecutor fallback_;
   EngineTrace trace_;

@@ -101,7 +101,6 @@ SessionManager::SessionManager(ServeCatalog* catalog, ServeOptions options)
     if (options_.engine_threads > 0) {
       engine::EngineOptions eopts;
       eopts.threads = options_.engine_threads;
-      eopts.columnar = options_.exec.columnar;
       ctx->executor = std::make_unique<engine::ParallelExecutor>(eopts);
     } else {
       ctx->executor = std::make_unique<core::ReferenceExecutor>();

@@ -299,8 +299,25 @@ TEST(ColumnarEngineTest, MapStringAggregateEquivalence) {
 }
 
 TEST(ColumnarEngineTest, DifferenceEquivalence) {
-  ExpectColumnarEquals(
-      "D = DIFFERENCE() ANNOTATIONS ENCODE; MATERIALIZE D;", SimSources());
+  // DIFFERENCE has only the columnar kernel, so the oracle is the
+  // reference executor.
+  const char* gmql = "D = DIFFERENCE() ANNOTATIONS ENCODE; MATERIALIZE D;";
+  engine::EngineOptions opt;
+  opt.threads = 3;
+  engine::ParallelExecutor exec(opt);
+  core::QueryRunner engine_runner(&exec);
+  core::QueryRunner ref_runner;
+  for (const auto& ds : SimSources()) {
+    engine_runner.RegisterDataset(ds);
+    ref_runner.RegisterDataset(ds);
+  }
+  auto engine_out = engine_runner.Run(gmql);
+  auto ref_out = ref_runner.Run(gmql);
+  ASSERT_TRUE(engine_out.ok()) << engine_out.status().ToString();
+  ASSERT_TRUE(ref_out.ok()) << ref_out.status().ToString();
+  EXPECT_GT(exec.trace().columnar_tasks.load(), 0u);
+  EXPECT_EQ(io::WriteGdmString(engine_out.value().at("D")),
+            io::WriteGdmString(ref_out.value().at("D")));
 }
 
 TEST(ColumnarEngineTest, CoverVariantsEquivalence) {

@@ -91,13 +91,17 @@ struct EngineCase {
   BackendKind backend;
   size_t threads;
   int64_t bin_size;
-  SchedulingMode scheduling = SchedulingMode::kFlat;
+  /// Columnar MAP / COVER kernels (QueryRunner::set_columnar); false runs
+  /// their row kernels.
+  bool columnar = true;
 };
 
+/// Columnar instances keep their historical "_flat" suffix (the engine once
+/// had a second, per-pair scheduler) so test ids stay stable.
 std::string EngineCaseName(const EngineCase& c) {
   return std::string(BackendKindName(c.backend)) + "_t" +
          std::to_string(c.threads) + "_b" + std::to_string(c.bin_size) +
-         (c.scheduling == SchedulingMode::kFlat ? "_flat" : "_perpair");
+         (c.columnar ? "_flat" : "_row");
 }
 
 class EngineEquivalenceTest : public ::testing::TestWithParam<EngineCase> {
@@ -120,10 +124,10 @@ class EngineEquivalenceTest : public ::testing::TestWithParam<EngineCase> {
     options.backend = c.backend;
     options.threads = c.threads;
     options.bin_size = c.bin_size;
-    options.scheduling = c.scheduling;
     ParallelExecutor parallel(options);
     QueryRunner ref_runner = MakeRunner(nullptr);
     QueryRunner par_runner = MakeRunner(&parallel);
+    par_runner.set_columnar(c.columnar);
     auto ref = ref_runner.Run(query).ValueOrDie();
     auto par = par_runner.Run(query).ValueOrDie();
     ASSERT_EQ(ref.size(), par.size());
@@ -189,12 +193,7 @@ INSTANTIATE_TEST_SUITE_P(
         EngineCase{BackendKind::kPipelined, 1, 5000000},
         EngineCase{BackendKind::kPipelined, 8, 500000},   // many partitions
         EngineCase{BackendKind::kMaterialized, 2, 1000000},
-        // The seed scheduler stays the before/after baseline for E7; keep
-        // it equal to the reference on both backends.
-        EngineCase{BackendKind::kPipelined, 4, 5000000,
-                   SchedulingMode::kPerPair},
-        EngineCase{BackendKind::kMaterialized, 4, 5000000,
-                   SchedulingMode::kPerPair}),
+        EngineCase{BackendKind::kPipelined, 4, 5000000, false}),
     [](const ::testing::TestParamInfo<EngineCase>& info) {
       return EngineCaseName(info.param);
     });
@@ -257,10 +256,10 @@ class EngineSkewTest : public ::testing::TestWithParam<EngineCase> {
     options.backend = c.backend;
     options.threads = c.threads;
     options.bin_size = c.bin_size;
-    options.scheduling = c.scheduling;
     ParallelExecutor parallel(options);
     QueryRunner ref_runner = MakeRunner(nullptr, chroms);
     QueryRunner par_runner = MakeRunner(&parallel, chroms);
+    par_runner.set_columnar(c.columnar);
     auto ref = ref_runner.Run(query).ValueOrDie();
     auto par = par_runner.Run(query).ValueOrDie();
     ASSERT_EQ(ref.size(), par.size());
@@ -296,6 +295,14 @@ TEST_P(EngineSkewTest, DifferenceJoinbyMatchesReference) {
       "D = DIFFERENCE(joinby: kind) ENCODE ENCODE;\nMATERIALIZE D;\n", 4);
 }
 
+TEST_P(EngineSkewTest, DifferenceUnmatchedLeftMatchesReference) {
+  // The "ref" sample has no "kind" partner in ENCODE: every task copies its
+  // left slice with no negatives.
+  CheckQuery(
+      "D = DIFFERENCE(joinby: kind) ANNOTATIONS ENCODE;\nMATERIALIZE D;\n",
+      4);
+}
+
 TEST_P(EngineSkewTest, CoverSkewedMatchesReference) {
   CheckQuery("C = COVER(2, ANY) ENCODE;\nMATERIALIZE C;\n", 4);
 }
@@ -321,10 +328,7 @@ INSTANTIATE_TEST_SUITE_P(
         EngineCase{BackendKind::kMaterialized, 2, 2000000},
         EngineCase{BackendKind::kMaterialized, 8, 2000000},
         EngineCase{BackendKind::kPipelined, 8, 300000},
-        EngineCase{BackendKind::kPipelined, 4, 2000000,
-                   SchedulingMode::kPerPair},
-        EngineCase{BackendKind::kMaterialized, 4, 2000000,
-                   SchedulingMode::kPerPair}),
+        EngineCase{BackendKind::kPipelined, 4, 2000000, false}),
     [](const ::testing::TestParamInfo<EngineCase>& info) {
       return EngineCaseName(info.param);
     });
@@ -379,13 +383,22 @@ TEST(EngineTraceTest, MaterializedCountsShuffleBytes) {
   runner.RegisterDataset(sim::GeneratePeakDataset(genome, popt, 5));
   auto catalog = sim::GenerateGenes(genome, 100, 5);
   runner.RegisterDataset(sim::GenerateAnnotations(genome, catalog, {}, 5));
-  auto r = runner.Run(
-      "PROMS = SELECT(annType == 'promoter') ANNOTATIONS;\n"
-      "R = MAP() PROMS ENCODE;\nMATERIALIZE R;\n");
-  ASSERT_TRUE(r.ok());
-  EXPECT_GT(executor.trace().shuffle_bytes.load(), 0u);
-  EXPECT_GT(executor.trace().stage_barriers.load(), 0u);
-  EXPECT_GT(executor.trace().tasks.load(), 0u);
+  // Each program runs exactly one shuffling operator, whose whole flat task
+  // list crosses one stage boundary: exactly one barrier.
+  for (const char* query : {
+           "PROMS = SELECT(annType == 'promoter') ANNOTATIONS;\n"
+           "R = MAP() PROMS ENCODE;\nMATERIALIZE R;\n",
+           "PROMS = SELECT(annType == 'promoter') ANNOTATIONS;\n"
+           "R = JOIN(DLE(20000); CAT) PROMS ENCODE;\nMATERIALIZE R;\n",
+           "R = COVER(2, ANY) ENCODE;\nMATERIALIZE R;\n",
+       }) {
+    executor.ResetTrace();
+    auto r = runner.Run(query);
+    ASSERT_TRUE(r.ok()) << query;
+    EXPECT_GT(executor.trace().shuffle_bytes.load(), 0u) << query;
+    EXPECT_EQ(executor.trace().stage_barriers.load(), 1u) << query;
+    EXPECT_GT(executor.trace().tasks.load(), 0u) << query;
+  }
 }
 
 TEST(EngineTraceTest, PipelinedMovesNoShuffleBytes) {
@@ -417,6 +430,21 @@ TEST(EngineTest, JoinWithoutUpperBoundRejected) {
   runner.RegisterDataset(gdm::Dataset("B", schema));
   auto r = runner.Run("X = JOIN(DGE(5); LEFT) A B;");
   EXPECT_FALSE(r.ok());
+}
+
+TEST(EngineTest, FusedNodeWithUnfusableProducerIsInternalError) {
+  // The optimizer never fuses a PROJECT producer; the engine must reject
+  // such a node instead of running its stages some other way.
+  ParallelExecutor executor;
+  Dataset in("A", gdm::RegionSchema());
+  auto producer = std::make_shared<core::PlanNode>();
+  producer->kind = core::OpKind::kProject;
+  core::PlanNode fused;
+  fused.kind = core::OpKind::kFused;
+  fused.fused_stages.push_back(producer);
+  auto r = executor.Execute(fused, {&in});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
 }
 
 }  // namespace

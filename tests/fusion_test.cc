@@ -1,9 +1,9 @@
 // Equivalence tests for per-partition operator fusion: every fusable chain
 // must produce byte-identical datasets (schema, sample ids, metadata, region
 // coordinates and values) with fusion on and off, across the reference
-// executor and both parallel schedulers. The fused runs also assert that
-// fusion actually happened (chains_fused > 0), so a silently-disabled pass
-// cannot fake equivalence.
+// executor and the parallel engine on both backends. The fused runs also
+// assert that fusion actually happened (chains_fused > 0), so a
+// silently-disabled pass cannot fake equivalence.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -48,15 +48,18 @@ struct FusionCase {
   enum Executor { kReference, kParallel };
   Executor executor = kParallel;
   BackendKind backend = BackendKind::kPipelined;
-  SchedulingMode scheduling = SchedulingMode::kFlat;
+  /// Columnar MAP / COVER kernels (QueryRunner::set_columnar); false runs
+  /// their row kernels.
+  bool columnar = true;
   size_t threads = 4;
 };
 
+/// Columnar engine instances keep their historical "_flat" infix (the
+/// engine once had a second, per-pair scheduler) so test ids stay stable.
 std::string FusionCaseName(const FusionCase& c) {
   if (c.executor == FusionCase::kReference) return "reference";
-  return std::string(BackendKindName(c.backend)) + "_" +
-         (c.scheduling == SchedulingMode::kFlat ? "flat" : "perpair") + "_t" +
-         std::to_string(c.threads);
+  return std::string(BackendKindName(c.backend)) +
+         (c.columnar ? "_flat_t" : "_row_t") + std::to_string(c.threads);
 }
 
 class FusionEquivalenceTest : public ::testing::TestWithParam<FusionCase> {
@@ -77,7 +80,6 @@ class FusionEquivalenceTest : public ::testing::TestWithParam<FusionCase> {
     if (c.executor == FusionCase::kReference) return nullptr;
     EngineOptions options;
     options.backend = c.backend;
-    options.scheduling = c.scheduling;
     options.threads = c.threads;
     return std::make_unique<ParallelExecutor>(options);
   }
@@ -91,6 +93,8 @@ class FusionEquivalenceTest : public ::testing::TestWithParam<FusionCase> {
     QueryRunner fused_runner = MakeRunner(fused_exec.get());
     QueryRunner plain_runner = MakeRunner(plain_exec.get());
     plain_runner.set_fusion(false);
+    fused_runner.set_columnar(c.columnar);
+    plain_runner.set_columnar(c.columnar);
     auto fused = fused_runner.Run(query).ValueOrDie();
     auto plain = plain_runner.Run(query).ValueOrDie();
     EXPECT_EQ(fused_runner.last_stats().fusion.chains_fused, expected_chains);
@@ -246,14 +250,12 @@ INSTANTIATE_TEST_SUITE_P(
     Executors, FusionEquivalenceTest,
     ::testing::Values(
         FusionCase{FusionCase::kReference},
-        FusionCase{FusionCase::kParallel, BackendKind::kPipelined,
-                   SchedulingMode::kFlat, 4},
-        FusionCase{FusionCase::kParallel, BackendKind::kMaterialized,
-                   SchedulingMode::kFlat, 4},
-        FusionCase{FusionCase::kParallel, BackendKind::kPipelined,
-                   SchedulingMode::kFlat, 1},
-        FusionCase{FusionCase::kParallel, BackendKind::kPipelined,
-                   SchedulingMode::kPerPair, 4}),
+        FusionCase{FusionCase::kParallel, BackendKind::kPipelined, true, 4},
+        FusionCase{FusionCase::kParallel, BackendKind::kMaterialized, true,
+                   4},
+        FusionCase{FusionCase::kParallel, BackendKind::kPipelined, true, 1},
+        FusionCase{FusionCase::kParallel, BackendKind::kPipelined, false,
+                   4}),
     [](const ::testing::TestParamInfo<FusionCase>& info) {
       return FusionCaseName(info.param);
     });

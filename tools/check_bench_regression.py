@@ -13,6 +13,13 @@ bench_e1 reports fail (exit 1) when:
     (these are exact counts, not timings — any increase is a bug),
   * a scale row's result shape (result_regions) changed.
 
+bench_e6 reports fail when:
+  * a (query, backend) row is missing, or its shuffle_bytes, tasks,
+    stage_barriers or result_regions differ from the baseline at all —
+    they are deterministic counters of a seeded corpus, so any drift means
+    the engine's task graph or shuffle staging changed. Wall time is
+    reported only.
+
 bench_e7 reports fail when:
   * the columnar speedup at max threads falls below the 1.5x acceptance
     floor or below baseline * (1 - tolerance),
@@ -20,7 +27,7 @@ bench_e7 reports fail when:
     encoded size grew beyond tolerance (both figures are byte counts of a
     seeded corpus, so they are machine-independent),
   * bytes_resident is missing or grew beyond tolerance,
-  * a (threads, scheduling, columnar) row's wall_seconds regressed beyond
+  * a (threads, columnar) row's wall_seconds regressed beyond
     the tolerance, or its task count changed (task counts are exact).
 
 bench_e8 reports fail when:
@@ -149,9 +156,38 @@ def check_e1(baseline, current, tol, failures, notes):
         )
 
 
+E6_EXACT_COUNTERS = ("shuffle_bytes", "tasks", "stage_barriers",
+                     "result_regions")
+
+
+def check_e6(baseline, current, tol, failures, notes):
+    cur_rows = {(run["query"], run["backend"]): run
+                for run in current.get("runs", [])}
+    for base in baseline.get("runs", []):
+        key = (base["query"], base["backend"])
+        label = f"{key[0]} {key[1]}"
+        cur = cur_rows.get(key)
+        if cur is None:
+            failures.append(f"row {label} missing from current report")
+            continue
+        for counter in E6_EXACT_COUNTERS:
+            if base.get(counter) != cur.get(counter):
+                failures.append(
+                    f"{label}: {counter} changed {base.get(counter)} -> "
+                    f"{cur.get(counter)} (exact counter)"
+                )
+        notes.append(
+            f"{label}: shuffle {cur.get('shuffle_bytes')} B, tasks "
+            f"{cur.get('tasks')}, barriers {cur.get('stage_barriers')}, "
+            f"regions {cur.get('result_regions')}; wall "
+            f"{base['wall_seconds']:.3f}s -> {cur['wall_seconds']:.3f}s "
+            "(reported only)"
+        )
+
+
 def e7_rows(report):
     return {
-        (run["threads"], run["scheduling"], run.get("columnar", 1)): run
+        (run["threads"], run.get("columnar", 1)): run
         for run in report.get("runs", [])
     }
 
@@ -205,8 +241,8 @@ def check_e7(baseline, current, tol, failures, notes):
     cur_rows = e7_rows(current)
     for key, base in sorted(base_rows.items()):
         cur = cur_rows.get(key)
-        threads, scheduling, columnar = key
-        label = f"threads={threads} {scheduling}{' columnar' if columnar else ''}"
+        threads, columnar = key
+        label = f"threads={threads} {'columnar' if columnar else 'row'}"
         if cur is None:
             failures.append(f"row {label} missing from current report")
             continue
@@ -415,6 +451,8 @@ def main():
             f"experiment mismatch: baseline {baseline.get('experiment')!r} "
             f"vs current {experiment!r}"
         )
+    elif experiment.startswith("E6"):
+        check_e6(baseline, current, tol, failures, notes)
     elif experiment.startswith("E7"):
         check_e7(baseline, current, tol, failures, notes)
     elif experiment.startswith("E8"):
