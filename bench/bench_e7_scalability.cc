@@ -1,13 +1,11 @@
-// E7 — Section 4.2: parallel scalability of the binned executor, and the
-// columnar MAP kernel vs the row kernel.
+// E7 — Section 4.2: parallel scalability of the engine's MAP.
 //
 // The paper-scale workload shape is MANY samples against one reference
 // (Section 2: 2,423 ENCODE samples), so the dominant parallelism axis is
 // the sample pair, not the partitions within one pair. The engine emits ONE
-// task list spanning every pair x partition and reuses cached per-sample
-// chromosome indexes. This bench runs the Section 2 MAP query on a
-// many-samples dataset with the row and the columnar kernel across thread
-// counts and reports the per-thread-count columnar speedup.
+// task list spanning every pair x partition and reuses each sample's cached
+// columns and their chunk directory. This bench runs the Section 2 MAP
+// query on a many-samples dataset across thread counts.
 
 #include <thread>
 
@@ -32,8 +30,8 @@ const char* kQuery =
 // Many experiment samples mapped against several reference panels, the
 // paper-scale workload shape (Section 2 averages ~35k peaks per ENCODE
 // sample over a 22+2-chromosome genome). Every exp sample takes part in
-// kRefPanels pairs; the engine builds one cached ChromIndex (or column
-// chunk directory) per exp sample and one chunk list per panel.
+// kRefPanels pairs; the engine builds one cached column set (with its
+// chunk directory) per sample.
 constexpr size_t kRefPanels = 8;
 constexpr size_t kPanelRegions = 400;
 constexpr size_t kSamples = 96;
@@ -41,7 +39,7 @@ constexpr size_t kPeaksPerSample = 25000;
 constexpr int64_t kBinSize = 10000000;
 
 /// Generated once; each run copies out of the masters so dataset synthesis
-/// stays off the clock and every run starts with cold chromosome indexes.
+/// stays off the clock and every run starts with cold columns.
 const gdm::GenomeAssembly& Genome() {
   static gdm::GenomeAssembly genome =
       gdm::GenomeAssembly::HumanLike(22, 80000000);
@@ -73,14 +71,13 @@ struct RunResult {
   uint64_t partitions = 0;
 };
 
-RunResult RunOnce(size_t threads, bool columnar = true) {
+RunResult RunOnce(size_t threads) {
   engine::EngineOptions options;
   options.threads = threads;
   options.bin_size = kBinSize;
   options.backend = engine::BackendKind::kPipelined;
   engine::ParallelExecutor executor(options);
   core::QueryRunner runner(&executor);
-  runner.set_columnar(columnar);
   RegisterData(&runner);
   Timer timer;
   auto results = runner.Run(kQuery);
@@ -94,10 +91,10 @@ RunResult RunOnce(size_t threads, bool columnar = true) {
 
 /// Best of `reps` runs: min wall time is the standard noise filter on a
 /// shared/oversubscribed host.
-RunResult RunWith(size_t threads, int reps = 3, bool columnar = true) {
-  RunResult best = RunOnce(threads, columnar);
+RunResult RunWith(size_t threads, int reps = 3) {
+  RunResult best = RunOnce(threads);
   for (int i = 1; i < reps; ++i) {
-    RunResult r = RunOnce(threads, columnar);
+    RunResult r = RunOnce(threads);
     if (r.seconds < best.seconds) best = r;
   }
   return best;
@@ -130,7 +127,7 @@ void PrintStorageFigures(bench::BenchJson* json) {
 
 void PrintTable(bench::BenchJson* json) {
   bench::Header(
-      "E7: flat (pair x partition) task graph, row vs columnar MAP kernel",
+      "E7: flat (pair x partition) task graph, columnar MAP kernel",
       "Section 4.2: computational efficiency via parallel computing on "
       "clusters and clouds");
   size_t hw = std::thread::hardware_concurrency();
@@ -150,39 +147,21 @@ void PrintTable(bench::BenchJson* json) {
   // penalized.
   (void)RunWith(1, 1);
 
-  std::printf("%8s %12s %12s %9s %10s\n", "threads", "flat-row(s)",
-              "flat-col(s)", "col-x", "tasks");
-  double last_columnar_speedup = 0;
+  std::printf("%8s %12s %10s\n", "threads", "wall(s)", "tasks");
   for (size_t threads : {1, 2, 4, 8}) {
-    RunResult flat_row = RunWith(threads, 3, /*columnar=*/false);
     RunResult flat = RunWith(threads);
-    double columnar_speedup =
-        flat.seconds > 0 ? flat_row.seconds / flat.seconds : 0;
-    last_columnar_speedup = columnar_speedup;
-    std::printf("%8zu %12.3f %12.3f %8.2fx %10llu\n", threads,
-                flat_row.seconds, flat.seconds, columnar_speedup,
+    std::printf("%8zu %12.3f %10llu\n", threads, flat.seconds,
                 static_cast<unsigned long long>(flat.tasks));
-    struct Row {
-      bool columnar;
-      const RunResult* r;
-    };
-    const Row rows[] = {{false, &flat_row}, {true, &flat}};
-    for (const Row& row_spec : rows) {
-      bench::JsonObject& row = json->NewRun();
-      row.Add("threads", static_cast<uint64_t>(threads));
-      row.Add("columnar", row_spec.columnar ? 1 : 0);
-      row.Add("wall_seconds", row_spec.r->seconds);
-      row.Add("tasks", row_spec.r->tasks);
-      row.Add("partitions", row_spec.r->partitions);
-    }
+    bench::JsonObject& row = json->NewRun();
+    row.Add("threads", static_cast<uint64_t>(threads));
+    row.Add("wall_seconds", flat.seconds);
+    row.Add("tasks", flat.tasks);
+    row.Add("partitions", flat.partitions);
   }
-  json->top().Add("columnar_speedup_at_max_threads", last_columnar_speedup);
   bench::Note(
-      "col-x is the columnar batch-kernel speedup over the row-structured "
-      "flat\nscheduler at the same thread count: the MAP inner loop runs "
-      "over decoded\ncoordinate columns (CollectOverlaps + per-attribute "
-      "moment arrays) instead of\nper-region accumulator objects, and rows "
-      "are only rebuilt at assembly.");
+      "The MAP inner loop runs over the samples' coordinate columns\n"
+      "(CollectOverlaps + per-attribute moment arrays), and rows are only\n"
+      "rebuilt at assembly.");
   PrintStorageFigures(json);
 }
 

@@ -41,8 +41,10 @@ class Executor {
   virtual ExecutorStats stats() const { return {}; }
   virtual void ResetStats() {}
 
-  /// Columnar fast-path toggle (ExecOptions::columnar / --no-columnar).
-  /// Executors without a columnar path ignore the setter and report false.
+  /// No-ops, kept only because the benchmark harness's TimingExecutor
+  /// (perfbench/src/harness.h) overrides and forwards them. No executor has
+  /// a columnar switch any more: the parallel engine's MAP, DIFFERENCE and
+  /// COVER pick their kernels from the plan alone.
   virtual void set_columnar(bool /*on*/) {}
   virtual bool columnar() const { return false; }
 };

@@ -203,7 +203,6 @@ Result<std::map<std::string, gdm::Dataset>> QueryRunner::RunProgram(
   // Run() calls never leak telemetry into each other.
   stats_ = RunStats{};
   executor_->ResetStats();
-  executor_->set_columnar(options_.columnar);
   const FedCounters& fed = FedCounters::Get();
   uint64_t fed_requests0 = fed.requests->value();
   uint64_t fed_shipped0 = fed.shipped->value();

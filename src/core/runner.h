@@ -29,11 +29,6 @@ struct ExecOptions {
   /// dataset is materialized between them. Disable to A/B against the
   /// unfused plan — results are identical either way.
   bool fusion = true;
-  /// Columnar batch kernels over each sample's cached RegionColumns for
-  /// executors that support them (the parallel engine's pipelined MAP and
-  /// COVER; its DIFFERENCE is always columnar). Disable (--no-columnar) to
-  /// A/B the row-structured baseline — results are identical either way.
-  bool columnar = true;
   /// Distributed-trace context of the enclosing query (minted at serve
   /// admission): invalid = untraced. RunProgram stamps the trace id into
   /// RunStats and tags the wall profile's query span with the parent span
@@ -138,9 +133,6 @@ class QueryRunner {
 
   void set_fusion(bool on) { options_.fusion = on; }
   bool fusion() const { return options_.fusion; }
-
-  void set_columnar(bool on) { options_.columnar = on; }
-  bool columnar() const { return options_.columnar; }
 
   const RunStats& last_stats() const { return stats_; }
 

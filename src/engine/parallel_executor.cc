@@ -100,103 +100,139 @@ class RefChunkCache {
   std::unordered_map<const Sample*, std::vector<RefChunk>> cache_;
 };
 
-/// True when every MAP aggregate is finishable from streaming moment sums
-/// (count / sum / sum-of-squares / min / max); kMedian and kBag need the
-/// full value multiset, so they keep the row path.
-bool ColumnarMapEligible(const std::vector<AggregateSpec>& specs) {
-  for (const auto& spec : specs) {
-    if (spec.func == AggFunc::kMedian || spec.func == AggFunc::kBag) {
-      return false;
+/// Per-(spec x ref-row) state of the MAP kernel, finished by
+/// AggAccumulator's rules so results are bit-identical to the reference
+/// executor. COUNT keeps nothing here (it reads the pair's match counts).
+/// MEDIAN and BAG need the matched value multiset and keep one
+/// AggAccumulator per ref row. Every other function folds streaming moments
+/// whose update and finish steps replay AggAccumulator::Add / ::Finish
+/// operation for operation.
+class MapAggState {
+ public:
+  void Init(AggFunc func, size_t rows) {
+    func_ = func;
+    if (func == AggFunc::kCount) return;
+    if (KeepsValues()) {
+      accs_.assign(rows, AggAccumulator(func));
+      return;
+    }
+    nn_.assign(rows, 0);
+    sum_.assign(rows, 0.0);
+    sumsq_.assign(rows, 0.0);
+    minv_.assign(rows, 0.0);
+    maxv_.assign(rows, 0.0);
+  }
+
+  /// Folds one partition's overlap matches, fetching each matched input
+  /// value from the exp rows (late materialization: matches are sparse
+  /// relative to the exp row count, so random value fetches beat building a
+  /// dense value column first). Match (ref, exp) indices are local to the
+  /// partition, whose rows start at `ref_offset` / `exps[exp_offset]`.
+  /// Mirrors AggAccumulator::Add: NULLs are skipped entirely, and string
+  /// values count toward non-null but contribute no numerics (their moments
+  /// stay at the zero initializer, exactly like the accumulator's).
+  void AddMatches(const std::vector<interval::MatchPair>& matches,
+                  const std::vector<GenomicRegion>& exps, size_t attr_index,
+                  size_t ref_offset, size_t exp_offset) {
+    if (func_ == AggFunc::kCount) return;
+    for (const auto& mp : matches) {
+      const GenomicRegion& er = exps[exp_offset + mp.exp];
+      if (attr_index >= er.values.size()) continue;
+      const Value& v = er.values[attr_index];
+      if (v.is_null()) continue;
+      size_t ri = ref_offset + mp.ref;
+      if (KeepsValues()) {
+        accs_[ri].Add(v);
+      } else if (v.is_double()) {
+        Update(ri, v.AsDouble());
+      } else if (v.is_int()) {
+        Update(ri, static_cast<double>(v.AsInt()));
+      } else if (v.is_bool()) {
+        Update(ri, v.AsBool() ? 1.0 : 0.0);
+      } else {
+        ++nn_[ri];  // non-numeric: ToNumeric fails after non_null_ counted
+      }
     }
   }
-  return true;
-}
 
-/// Per-(spec x ref-row) streaming moments of the columnar MAP kernel; the
-/// update and finish steps replay AggAccumulator::Add / ::Finish operation
-/// for operation, so results are bit-identical to the row path.
-struct SpecMoments {
-  std::vector<int64_t> nn;  // non-null matched values per ref row
-  std::vector<double> sum, sumsq, minv, maxv;
-
-  void Init(size_t rows) {
-    nn.assign(rows, 0);
-    sum.assign(rows, 0.0);
-    sumsq.assign(rows, 0.0);
-    minv.assign(rows, 0.0);
-    maxv.assign(rows, 0.0);
-  }
-
-  void Update(size_t ri, double x) {
-    int64_t n = ++nn[ri];
-    sum[ri] += x;
-    sumsq[ri] += x * x;
-    if (n == 1) {
-      minv[ri] = maxv[ri] = x;
-    } else {
-      minv[ri] = std::min(minv[ri], x);
-      maxv[ri] = std::max(maxv[ri], x);
-    }
-  }
-
-  /// AggAccumulator::Finish over the row's moments (`matches` stands in for
+  /// AggAccumulator::Finish for ref row `ri` (`matches` stands in for
   /// region_count_).
-  Value Finish(AggFunc func, size_t ri, int64_t matches) const {
-    switch (func) {
+  Value Finish(size_t ri, int64_t matches) const {
+    if (KeepsValues()) return accs_[ri].Finish();
+    switch (func_) {
       case AggFunc::kCount:
         return Value(matches);
       case AggFunc::kSum:
-        return nn[ri] == 0 ? Value::Null() : Value(sum[ri]);
+        return nn_[ri] == 0 ? Value::Null() : Value(sum_[ri]);
       case AggFunc::kAvg:
-        return nn[ri] == 0
+        return nn_[ri] == 0
                    ? Value::Null()
-                   : Value(sum[ri] / static_cast<double>(nn[ri]));
+                   : Value(sum_[ri] / static_cast<double>(nn_[ri]));
       case AggFunc::kMin:
-        return nn[ri] == 0 ? Value::Null() : Value(minv[ri]);
+        return nn_[ri] == 0 ? Value::Null() : Value(minv_[ri]);
       case AggFunc::kMax:
-        return nn[ri] == 0 ? Value::Null() : Value(maxv[ri]);
+        return nn_[ri] == 0 ? Value::Null() : Value(maxv_[ri]);
       case AggFunc::kStd: {
-        if (nn[ri] < 2) return nn[ri] == 0 ? Value::Null() : Value(0.0);
-        double n = static_cast<double>(nn[ri]);
-        double var = (sumsq[ri] - sum[ri] * sum[ri] / n) / (n - 1.0);
+        if (nn_[ri] < 2) return nn_[ri] == 0 ? Value::Null() : Value(0.0);
+        double n = static_cast<double>(nn_[ri]);
+        double var = (sumsq_[ri] - sum_[ri] * sum_[ri] / n) / (n - 1.0);
         if (var < 0) var = 0;  // numeric noise
         return Value(std::sqrt(var));
       }
       default:
-        return Value::Null();  // unreachable: gated by ColumnarMapEligible
+        return Value::Null();  // unreachable: MEDIAN / BAG keep values
     }
   }
+
+ private:
+  bool KeepsValues() const {
+    return func_ == AggFunc::kMedian || func_ == AggFunc::kBag;
+  }
+
+  void Update(size_t ri, double x) {
+    int64_t n = ++nn_[ri];
+    sum_[ri] += x;
+    sumsq_[ri] += x * x;
+    if (n == 1) {
+      minv_[ri] = maxv_[ri] = x;
+    } else {
+      minv_[ri] = std::min(minv_[ri], x);
+      maxv_[ri] = std::max(maxv_[ri], x);
+    }
+  }
+
+  AggFunc func_ = AggFunc::kCount;
+  std::vector<int64_t> nn_;  // non-null matched values per ref row
+  std::vector<double> sum_, sumsq_, minv_, maxv_;
+  std::vector<AggAccumulator> accs_;  // MEDIAN / BAG only
 };
 
-/// Accumulates one partition's overlap matches into the pair's moments,
-/// fetching each matched aggregate input from the row store (late
-/// materialization: matches are sparse relative to the exp row count, so
-/// random value fetches beat building a dense value column first; only the
-/// scanned coordinates are columnar). Mirrors AggAccumulator::Add: NULLs
-/// are skipped entirely, string values count toward non-null but contribute
-/// no numerics (their moments stay at the zero initializer, exactly like
-/// the row accumulator's min_/max_/sum_).
-void AccumulateColumnarMatches(const std::vector<interval::MatchPair>& matches,
-                               const std::vector<GenomicRegion>& exp_regions,
-                               size_t attr_index, size_t ref_offset,
-                               size_t exp_offset, SpecMoments* m) {
-  for (const auto& mp : matches) {
-    const GenomicRegion& er = exp_regions[exp_offset + mp.exp];
-    if (attr_index >= er.values.size()) continue;
-    const Value& v = er.values[attr_index];
-    if (v.is_null()) continue;
-    size_t ri = ref_offset + mp.ref;
-    if (v.is_double()) {
-      m->Update(ri, v.AsDouble());
-    } else if (v.is_int()) {
-      m->Update(ri, static_cast<double>(v.AsInt()));
-    } else if (v.is_bool()) {
-      m->Update(ri, v.AsBool() ? 1.0 : 0.0);
-    } else {
-      ++m->nn[ri];  // non-numeric: ToNumeric fails after non_null_ counted
+/// Coordinates of rows [begin, end) as 64-bit columns. Decoded shuffle
+/// slices carry no RegionColumns, so the materialized backend lifts their
+/// coordinates into a CoordView before running the batch kernel.
+class SliceCoords {
+ public:
+  SliceCoords(const std::vector<GenomicRegion>& rows, size_t begin,
+              size_t end) {
+    left_.reserve(end - begin);
+    right_.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      left_.push_back(rows[i].left);
+      right_.push_back(rows[i].right);
     }
   }
-}
+
+  interval::CoordView view() const {
+    interval::CoordView v;
+    v.l64 = left_.data();
+    v.r64 = right_.data();
+    v.size = left_.size();
+    return v;
+  }
+
+ private:
+  std::vector<int64_t> left_, right_;
+};
 
 }  // namespace
 
@@ -526,28 +562,27 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
 
   auto pair_idx = MatchJoinbyPairs(ref, exp, params.joinby);
 
-  // ONE task list spanning every pair x partition. Ref chunks are computed
-  // once per distinct ref sample; exp ranges come from the exp sample's
-  // cached ChromIndex — or, on the columnar fast path, from the sample's
-  // RegionColumns chunk directory (built here, on the calling thread; both
-  // caches are also safe to build concurrently).
+  // ONE task list spanning every pair x partition, and one compute step for
+  // both backends: the batch kernel sweeps packed coordinate columns (no
+  // Value payloads in the cache lines), buffers the match list, and folds
+  // each aggregate's input over it into per-ref-row state; rows are only
+  // touched again at assembly. Match emission order equals the reference
+  // sweep's, so double accumulation is bit-identical.
   //
-  // Columnar fast path: the compute stage sweeps the packed coordinate
-  // columns (no Value payloads in the cache lines), buffers the match list,
-  // and folds each aggregate's input column over it into per-ref-row moment
-  // arrays; rows are only touched again at assembly. Match emission order
-  // equals the row sweep's, so double accumulation is bit-identical.
-  bool use_columnar = columnar_ &&
-                      options_.backend == BackendKind::kPipelined &&
-                      ColumnarMapEligible(specs);
+  // Pipelined partitions are chunk-aligned: one task per ref chromosome
+  // present on both sides, straight from the columns' chunk directories,
+  // with no duplicated exp boundary rows. Materialized partitions keep the
+  // bin partitioner (ref chunks are computed once per distinct ref sample
+  // and bound to the exp sample's chunk directory), so its shuffle figures
+  // are those of the slices it encodes.
+  const bool pipelined = options_.backend == BackendKind::kPipelined;
   struct PairState {
     const Sample* rs;
     const Sample* es;
-    const RegionColumns* rcols = nullptr;
+    const RegionColumns* rcols = nullptr;  // pipelined only
     const RegionColumns* ecols = nullptr;
-    std::vector<std::vector<Value>> agg_values;  // row path
-    std::vector<int64_t> match_count;            // columnar path
-    std::vector<SpecMoments> moments;            // columnar path, per spec
+    std::vector<int64_t> match_count;  // per ref row
+    std::vector<MapAggState> aggs;     // per spec
   };
   std::vector<PairState> pairs;
   pairs.reserve(pair_idx.size());
@@ -558,137 +593,75 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
     PairState ps;
     ps.rs = &ref.sample(l);
     ps.es = &exp.sample(r);
-    std::vector<Partition> bound;
-    if (use_columnar) {
+    ps.ecols = &ps.es->columns(exp.schema());
+    if (pipelined) {
       ps.rcols = &ps.rs->columns(ref.schema());
-      ps.ecols = &ps.es->columns(exp.schema());
-      // Chunk-aligned partitions: one task per ref chromosome present on
-      // both sides, straight from the chunk directories. This skips the bin
-      // partitioner (RefChunkCache scan + per-bin lower-bound searches)
-      // entirely and removes the duplicated exp boundary rows that bin
-      // slack re-scans; chromosomes with no exp rows contribute no task —
-      // their refs still assemble below with zero matches.
       for (const ColumnChunk& rc : ps.rcols->chunks()) {
         const ColumnChunk* ec = ps.ecols->FindChunk(rc.chrom);
-        if (ec == nullptr) continue;
-        Partition part;
-        part.ref_begin = rc.begin;
-        part.ref_end = rc.end;
-        part.exp_begin = ec->begin;
-        part.exp_end = ec->end;
-        bound.push_back(part);
-      }
-      ps.match_count.assign(ps.rs->regions.size(), 0);
-      ps.moments.resize(specs.size());
-      for (size_t x = 0; x < specs.size(); ++x) {
-        if (specs[x].func != AggFunc::kCount) {
-          ps.moments[x].Init(ps.rs->regions.size());
-        }
+        if (ec == nullptr) continue;  // refs still assemble, zero matches
+        parts.push_back({rc.begin, rc.end, ec->begin, ec->end});
       }
     } else {
-      bound = BindPartitions(chunks.ChunksFor(*ps.rs), ps.es->regions,
-                             ps.es->chrom_index(), 0);
-      ps.agg_values.resize(ps.rs->regions.size());
+      auto bound = BindPartitions(chunks.ChunksFor(*ps.rs), *ps.ecols, 0);
+      parts.insert(parts.end(), bound.begin(), bound.end());
     }
-    parts.insert(parts.end(), bound.begin(), bound.end());
+    size_t rows = ps.rs->regions.size();
+    ps.match_count.assign(rows, 0);
+    ps.aggs.resize(specs.size());
+    for (size_t x = 0; x < specs.size(); ++x) {
+      ps.aggs[x].Init(specs[x].func, rows);
+    }
     owner.resize(parts.size(), pairs.size());
     pairs.push_back(std::move(ps));
   }
   trace_.partitions.fetch_add(parts.size(), kRelaxed);
 
-  if (use_columnar) {
-    RunStage("map:compute", parts.size(), [&](size_t pi) {
-      PairState& ps = pairs[owner[pi]];
-      const Partition& part = parts[pi];
-      trace_.columnar_tasks.fetch_add(1, kRelaxed);
-      interval::CoordView rview =
-          interval::CoordView::Of(*ps.rcols, part.ref_begin, part.ref_end);
-      interval::CoordView eview =
-          interval::CoordView::Of(*ps.ecols, part.exp_begin, part.exp_end);
-      std::vector<interval::MatchPair> matches;
-      interval::CollectOverlaps(rview, eview, &matches);
-      if (matches.empty()) return;
-      // Ref rows are disjoint across partitions, so the per-pair arrays
-      // need no synchronization.
-      for (const auto& mp : matches) {
-        ++ps.match_count[part.ref_begin + mp.ref];
-      }
-      for (size_t x = 0; x < specs.size(); ++x) {
-        if (specs[x].func == AggFunc::kCount) continue;
-        if (agg_inputs[x] == SIZE_MAX) continue;
-        AccumulateColumnarMatches(matches, ps.es->regions, agg_inputs[x],
-                                  part.ref_begin, part.exp_begin,
-                                  &ps.moments[x]);
-      }
-    });
-  } else {
-    // Row kernel: aggregates refs[rb, re) — output rows from
-    // parts[pi].ref_begin on, disjoint across partitions — into the pair's
-    // agg_values.
-    GDMS_RETURN_NOT_OK(RunPartitionStages(
-        "map:shuffle-write", "map:compute", parts,
-        [&](size_t pi) {
-          const PairState& ps = pairs[owner[pi]];
-          return std::make_pair(&ps.rs->regions.rows(),
-                                &ps.es->regions.rows());
-        },
-        [&](size_t pi, const Regions& refs, size_t rb, size_t re,
-            const Regions& exps, size_t eb, size_t ee) {
-          std::vector<std::vector<AggAccumulator>> accs(re - rb);
-          for (auto& row : accs) {
-            row.reserve(specs.size());
-            for (const auto& spec : specs) row.emplace_back(spec.func);
-          }
-          SliceSweep(refs, rb, re, exps, eb, ee, 0, [&](size_t i, size_t a) {
-            if (!refs[i].Overlaps(exps[a])) return;
-            auto& row = accs[i - rb];
-            for (size_t x = 0; x < specs.size(); ++x) {
-              if (agg_inputs[x] == SIZE_MAX) {
-                row[x].AddRegion();
-              } else {
-                row[x].Add(exps[a].values[agg_inputs[x]]);
-              }
-            }
-          });
-          auto& agg_values = pairs[owner[pi]].agg_values;
-          for (size_t i = 0; i < accs.size(); ++i) {
-            std::vector<Value> vals;
-            vals.reserve(specs.size());
-            for (auto& acc : accs[i]) vals.push_back(acc.Finish());
-            agg_values[parts[pi].ref_begin + i] = std::move(vals);
-          }
-        }));
-  }
+  GDMS_RETURN_NOT_OK(RunPartitionStages(
+      "map:shuffle-write", "map:compute", parts,
+      [&](size_t pi) {
+        const PairState& ps = pairs[owner[pi]];
+        return std::make_pair(&ps.rs->regions.rows(), &ps.es->regions.rows());
+      },
+      [&](size_t pi, const Regions& refs, size_t rb, size_t re,
+          const Regions& exps, size_t eb, size_t ee) {
+        PairState& ps = pairs[owner[pi]];
+        trace_.columnar_tasks.fetch_add(1, kRelaxed);
+        std::vector<interval::MatchPair> matches;
+        if (pipelined) {
+          interval::CollectOverlaps(interval::CoordView::Of(*ps.rcols, rb, re),
+                                    interval::CoordView::Of(*ps.ecols, eb, ee),
+                                    &matches);
+        } else {
+          interval::CollectOverlaps(SliceCoords(refs, rb, re).view(),
+                                    SliceCoords(exps, eb, ee).view(), &matches);
+        }
+        // Ref rows are disjoint across partitions, so the per-pair arrays
+        // need no synchronization.
+        size_t ref_offset = parts[pi].ref_begin;
+        for (const auto& mp : matches) {
+          ++ps.match_count[ref_offset + mp.ref];
+        }
+        for (size_t x = 0; x < specs.size(); ++x) {
+          ps.aggs[x].AddMatches(matches, exps, agg_inputs[x], ref_offset, eb);
+        }
+      }));
 
   std::vector<Sample> results(pairs.size());
   std::vector<char> emit(pairs.size(), 1);
   RunStage("map:assemble", pairs.size(), [&](size_t p) {
-    PairState& ps = pairs[p];
+    const PairState& ps = pairs[p];
     Sample ns = Operators::DerivedSample("MAP", *ps.rs, *ps.es, false);
+    const Regions& src_rows = ps.rs->regions.rows();
     std::vector<GenomicRegion>& rows = ns.regions.mutable_rows();
-    rows.reserve(ps.rs->regions.size());
-    for (size_t ri = 0; ri < ps.rs->regions.size(); ++ri) {
-      if (use_columnar) {
-        const GenomicRegion& src = ps.rs->regions[ri];
-        GenomicRegion nr(src.chrom, src.left, src.right, src.strand);
-        nr.values.reserve(src.values.size() + specs.size());
-        nr.values.insert(nr.values.end(), src.values.begin(),
-                         src.values.end());
-        for (size_t x = 0; x < specs.size(); ++x) {
-          nr.values.push_back(
-              ps.moments[x].Finish(specs[x].func, ri, ps.match_count[ri]));
-        }
-        rows.push_back(std::move(nr));
-        continue;
-      }
-      GenomicRegion nr = ps.rs->regions[ri];
-      if (ps.agg_values[ri].empty()) {
-        // Ref region fell into a partition with no exps; finish empty accs.
-        for (const auto& spec : specs) {
-          nr.values.push_back(AggAccumulator(spec.func).Finish());
-        }
-      } else {
-        for (auto& v : ps.agg_values[ri]) nr.values.push_back(std::move(v));
+    rows.reserve(src_rows.size());
+    for (size_t ri = 0; ri < src_rows.size(); ++ri) {
+      const GenomicRegion& src = src_rows[ri];
+      GenomicRegion nr(src.chrom, src.left, src.right, src.strand);
+      nr.values.reserve(src.values.size() + specs.size());
+      nr.values.insert(nr.values.end(), src.values.begin(),
+                       src.values.end());
+      for (size_t x = 0; x < specs.size(); ++x) {
+        nr.values.push_back(ps.aggs[x].Finish(ri, ps.match_count[ri]));
       }
       rows.push_back(std::move(nr));
     }
@@ -753,8 +726,8 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
     PairState ps;
     ps.ls = &left.sample(l);
     ps.rs = &right.sample(r);
-    auto bound = BindPartitions(chunks.ChunksFor(*ps.ls), ps.rs->regions,
-                                ps.rs->chrom_index(), window);
+    auto bound = BindPartitions(chunks.ChunksFor(*ps.ls),
+                                ps.rs->columns(right.schema()), window);
     ps.part_begin = parts.size();
     parts.insert(parts.end(), bound.begin(), bound.end());
     ps.part_end = parts.size();
@@ -857,13 +830,12 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
     groups.push_back(std::move(g));
   }
 
-  // Columnar pooling needs only the coordinate profile, so it is eligible
+  // Columnar pooling needs only the coordinate profile, so the plan picks it
   // exactly when no stage rematerializes rows: COVER/HISTOGRAM/SUMMIT with
   // no aggregates (FLAT and aggregate rows read the pooled inputs back) and
   // the pipelined backend (materialized ships row slices through the
   // shuffle codec).
-  bool use_columnar = columnar_ &&
-                      options_.backend == BackendKind::kPipelined &&
+  bool use_columnar = options_.backend == BackendKind::kPipelined &&
                       params.variant != core::CoverVariant::kFlat &&
                       params.aggregates.empty();
 

@@ -52,9 +52,10 @@ struct EngineTrace {
   std::atomic<uint64_t> partitions{0};
   std::atomic<uint64_t> shuffle_bytes{0};
   std::atomic<uint64_t> stage_barriers{0};
-  /// Compute tasks that ran through a columnar batch kernel instead of the
-  /// row sweep: every DIFFERENCE task, and pipelined MAP / COVER tasks while
-  /// the columnar toggle is on (set_columnar).
+  /// Compute tasks that ran through a columnar batch kernel instead of a
+  /// row sweep: every MAP and DIFFERENCE task, and the profile tasks of
+  /// COVER when it pools coordinates (pipelined backend, a variant other
+  /// than FLAT, no aggregates). JOIN and the other COVER tasks sweep rows.
   std::atomic<uint64_t> columnar_tasks{0};
 
   void Reset() {
@@ -78,9 +79,9 @@ struct EngineTrace {
 /// between the logical operators is never allocated. The backend choice
 /// (BackendKind) is one call per operator: MAP and JOIN hand their
 /// partitions to RunPartitionStages, which either computes them in place or
-/// routes them through the shuffle codec behind one barrier. DIFFERENCE
-/// always runs the columnar kernel; the columnar toggle (set_columnar)
-/// selects between row and columnar kernels for pipelined MAP and COVER.
+/// routes them through the shuffle codec behind one barrier. MAP and
+/// DIFFERENCE each have one kernel, a batch sweep over coordinate columns;
+/// COVER pools coordinates whenever its plan needs no rows back.
 /// Results are sample-for-sample equal to the ReferenceExecutor — the
 /// engine tests assert exactly that.
 class ParallelExecutor : public core::Executor {
@@ -101,9 +102,6 @@ class ParallelExecutor : public core::Executor {
             trace_.stage_barriers.load(std::memory_order_relaxed)};
   }
   void ResetStats() override { trace_.Reset(); }
-
-  void set_columnar(bool on) override { columnar_ = on; }
-  bool columnar() const override { return columnar_; }
 
   const EngineOptions& options() const { return options_; }
 
@@ -128,7 +126,7 @@ class ParallelExecutor : public core::Executor {
   void RunStage(const char* name, size_t n,
                 const std::function<void(size_t)>& fn);
 
-  /// The backend's stage boundary for the row kernels of MAP and JOIN.
+  /// The backend's stage boundary for the kernels of MAP and JOIN.
   /// Partition `pi` covers parts[pi]'s ranges of the region lists returned
   /// by `inputs(pi)`. Pipelined: one `compute_stage` runs `kernel` over the
   /// slices in place. Materialized: `shuffle_stage` encodes both slices of
@@ -170,7 +168,6 @@ class ParallelExecutor : public core::Executor {
                                      const core::PlanNode* fused = nullptr);
 
   EngineOptions options_;
-  bool columnar_ = true;
   ThreadPool pool_;
   core::ReferenceExecutor fallback_;
   EngineTrace trace_;

@@ -92,21 +92,19 @@ std::vector<RefChunk> MakeRefChunks(
   return out;
 }
 
-std::vector<TaskPartition> BindPartitions(
-    const std::vector<RefChunk>& chunks,
-    const std::vector<gdm::GenomicRegion>& exps,
-    const gdm::ChromIndex& exp_index, int64_t slack) {
+std::vector<TaskPartition> BindPartitions(const std::vector<RefChunk>& chunks,
+                                          const gdm::RegionColumns& exps,
+                                          int64_t slack) {
   std::vector<TaskPartition> out;
   out.reserve(chunks.size());
   for (const RefChunk& chunk : chunks) {
     TaskPartition part;
     part.ref_begin = chunk.begin;
     part.ref_end = chunk.end;
-    int64_t exp_len = exp_index.MaxLen(chunk.chrom);
-    part.exp_begin = exp_index.LowerBoundLeft(
-        exps, chunk.chrom, chunk.span_start - slack - exp_len);
-    part.exp_end =
-        exp_index.LowerBoundLeft(exps, chunk.chrom, chunk.max_right + slack);
+    int64_t exp_len = exps.MaxLen(chunk.chrom);
+    part.exp_begin =
+        exps.LowerBoundLeft(chunk.chrom, chunk.span_start - slack - exp_len);
+    part.exp_end = exps.LowerBoundLeft(chunk.chrom, chunk.max_right + slack);
     out.push_back(part);
   }
   return out;

@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "gdm/chrom_index.h"
 #include "gdm/dataset.h"
+#include "gdm/region_columns.h"
 
 namespace gdms::engine {
 
@@ -20,7 +20,7 @@ namespace gdms::engine {
 /// sequentially. These helpers build that list cheaply: pair enumeration is
 /// hash-grouped on the joinby key (O(S) expected instead of the O(S^2)
 /// nested metadata scan) and per-pair partitioning reuses bin chunks of the
-/// shared ref sample plus the exp sample's cached ChromIndex.
+/// shared ref sample plus the chunk directory of the exp sample's columns.
 
 /// One (ref-chunk, exp-range) partition: the unit of the flat task list.
 struct TaskPartition {
@@ -46,13 +46,13 @@ std::vector<RefChunk> MakeRefChunks(
     const std::vector<gdm::GenomicRegion>& refs, int64_t bin_size);
 
 /// Attaches to every ref chunk the exp range that can reach it: exps whose
-/// span widened by `slack` may touch [span_start, max_right). Uses the exp
-/// sample's ChromIndex for the chromosome's max region length and O(log)
-/// range lookup within its slice, instead of rescanning every exp region.
-std::vector<TaskPartition> BindPartitions(
-    const std::vector<RefChunk>& chunks,
-    const std::vector<gdm::GenomicRegion>& exps,
-    const gdm::ChromIndex& exp_index, int64_t slack);
+/// span widened by `slack` may touch [span_start, max_right). Uses the chunk
+/// directory of the exp sample's columns for the chromosome's max region
+/// length and an O(log) search of its left column, instead of rescanning
+/// every exp region.
+std::vector<TaskPartition> BindPartitions(const std::vector<RefChunk>& chunks,
+                                          const gdm::RegionColumns& exps,
+                                          int64_t slack);
 
 /// Enumerates (left, right) sample-index pairs matching on the joinby
 /// attributes, in the same (left-major) order as the reference executor's

@@ -31,8 +31,8 @@ using SampleId = uint64_t;
 ///    schema (the shared columns are built against one schema);
 ///  * take `regions.mutable_rows()` once per loop, not once per row — the
 ///    `io` readers and `sim` generators bind it before their row loops;
-///  * take it again after any chrom_index()/columns() call, which builds a
-///    layout of the rows as they are at that moment.
+///  * take it again after any columns() call, which builds a layout of the
+///    rows as they are at that moment.
 struct Sample {
   SampleId id = 0;
   Metadata metadata;
@@ -45,10 +45,6 @@ struct Sample {
 
   void SortNow() { SortRegions(&regions.mutable_rows()); }
   bool IsSorted() const { return RegionsSorted(regions); }
-
-  /// The per-chromosome index over `regions` (see gdm/chrom_index.h); see
-  /// RegionStore::chrom_index().
-  const ChromIndex& chrom_index() const { return regions.chrom_index(); }
 
   /// The columnar (SoA) layout over `regions` (see gdm/region_columns.h),
   /// built against the owning dataset's `schema`; see
@@ -106,7 +102,7 @@ class Dataset {
 
   /// Estimated in-memory (resident) bytes of the row representation:
   /// region structs, their Value payload vectors and string heap, metadata.
-  /// Derived layouts (chrom index, columns) are not included, and region
+  /// Derived layouts (the columns) are not included, and region
   /// storage shared by several samples counts once. Storage shared with a
   /// sample of `inputs` counts nothing, so an operator output that passes
   /// its input's regions through is charged for its metadata only.

@@ -25,6 +25,14 @@ obs::Counter* AttrBuiltCounter() {
   return c;
 }
 
+/// First chunk whose chromosome is >= `chrom` (chunks are ordered by chrom).
+std::vector<ColumnChunk>::const_iterator ChunkLowerBound(
+    const std::vector<ColumnChunk>& chunks, int32_t chrom) {
+  return std::lower_bound(
+      chunks.begin(), chunks.end(), chrom,
+      [](const ColumnChunk& c, int32_t id) { return c.chrom < id; });
+}
+
 }  // namespace
 
 ValueColumn ValueColumn::Build(const std::vector<GenomicRegion>& regions,
@@ -209,15 +217,30 @@ const ValueColumn& RegionColumns::attr(size_t a) const {
 }
 
 const ColumnChunk* RegionColumns::FindChunk(int32_t chrom) const {
-  for (const auto& c : chunks_) {
-    if (c.chrom == chrom) return &c;
-  }
-  return nullptr;
+  auto it = ChunkLowerBound(chunks_, chrom);
+  return it == chunks_.end() || it->chrom != chrom ? nullptr : &*it;
 }
 
 int64_t RegionColumns::MaxLen(int32_t chrom) const {
   const ColumnChunk* c = FindChunk(chrom);
   return c == nullptr ? 0 : c->max_len;
+}
+
+size_t RegionColumns::LowerBoundLeft(int32_t chrom, int64_t pos) const {
+  auto it = ChunkLowerBound(chunks_, chrom);
+  if (it == chunks_.end()) return size_;
+  if (it->chrom != chrom) return it->begin;
+  size_t lo = it->begin;
+  size_t hi = it->end;
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    if (left(mid) < pos) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 std::vector<GenomicRegion> RegionColumns::ToRegions() const {

@@ -11,11 +11,10 @@
 
 namespace gdms::gdm {
 
-/// One per-chromosome entry of a columnar sample's chunk directory: the
-/// contiguous [begin, end) row range of the chromosome plus its maximum
-/// region length. For columnar samples this subsumes ChromIndex — the same
-/// figures the flat scheduler's partitioner needs, derived in the single
-/// column-building pass.
+/// One per-chromosome entry of a sample's chunk directory: the contiguous
+/// [begin, end) row range of the chromosome plus its maximum region length —
+/// the figures the engine's partitioners need, derived in the single
+/// column-building pass. The chunk directory is the only per-sample index.
 struct ColumnChunk {
   int32_t chrom = 0;
   size_t begin = 0;
@@ -83,8 +82,9 @@ class ValueColumn {
 /// one dictionary byte per row and each schema attribute as a ValueColumn.
 ///
 /// Built in one pass over a coordinate-sorted region list and kept beside
-/// the rows it describes (RegionStore::columns()), like the ChromIndex; the
-/// chunk directory replaces ChromIndex for columnar consumers.
+/// the rows it describes (RegionStore::columns()). Its chunk directory
+/// (chunks(), FindChunk(), MaxLen(), LowerBoundLeft()) is the sample's
+/// per-chromosome index.
 class RegionColumns {
  public:
   RegionColumns() = default;
@@ -99,8 +99,16 @@ class RegionColumns {
   bool narrow() const { return narrow_; }
 
   const std::vector<ColumnChunk>& chunks() const { return chunks_; }
+  /// The chromosome's chunk, or nullptr when the chromosome is absent;
+  /// O(log #chroms).
   const ColumnChunk* FindChunk(int32_t chrom) const;
+  /// Max region length on `chrom`; 0 when the chromosome is absent.
   int64_t MaxLen(int32_t chrom) const;
+  /// First row of the chromosome's chunk whose left >= pos (the chunk's end
+  /// when every row starts before pos). For an absent chromosome, its
+  /// insertion point: the first row of the next larger chromosome, or
+  /// size().
+  size_t LowerBoundLeft(int32_t chrom, int64_t pos) const;
 
   int64_t left(size_t i) const { return narrow_ ? left32_[i] : left64_[i]; }
   int64_t right(size_t i) const {

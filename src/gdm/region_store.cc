@@ -75,7 +75,6 @@ struct RegionStore::Storage {
 
   Rows rows;
   std::atomic<uint32_t> refs{1};
-  std::atomic<const ChromIndex*> index{nullptr};
   std::atomic<const RegionColumns*> columns{nullptr};
   std::atomic<uint64_t> row_bytes{kUnknownBytes};
 
@@ -86,7 +85,6 @@ struct RegionStore::Storage {
 
   /// Only called by the exclusive holder, so no reader can hold a layout.
   void DropDerived() {
-    delete index.exchange(nullptr, std::memory_order_relaxed);
     delete columns.exchange(nullptr, std::memory_order_relaxed);
     row_bytes.store(kUnknownBytes, std::memory_order_relaxed);
   }
@@ -126,16 +124,6 @@ RegionStore::Rows& RegionStore::mutable_rows() {
     storage_->DropDerived();
   }
   return storage_->rows;
-}
-
-const ChromIndex& RegionStore::chrom_index() const {
-  if (storage_ == nullptr) {
-    static const ChromIndex* empty = new ChromIndex();
-    return *empty;
-  }
-  const Storage& s = *storage_;
-  return *BuildOnce(&storage_->index, [&] { return ChromIndex::Build(s.rows); })
-              .first;
 }
 
 const RegionColumns& RegionStore::columns(const RegionSchema& schema) const {

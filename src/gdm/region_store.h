@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "gdm/chrom_index.h"
 #include "gdm/region.h"
 #include "gdm/region_columns.h"
 #include "gdm/schema.h"
@@ -15,25 +14,26 @@
 namespace gdms::gdm {
 
 /// \brief A sample's regions: copy-on-write rows shared by reference, plus
-/// the facts derived from them (chromosome index, columns, resident-byte
-/// estimate), each computed at most once per storage.
+/// the facts derived from them (columns with their per-chromosome chunk
+/// directory, resident-byte estimate), each computed at most once per
+/// storage.
 ///
 /// Copying a RegionStore copies a pointer. Operators that pass a sample's
 /// regions through unchanged (metadata-only SELECT, SEMIJOIN, EXTEND,
 /// ORDER, MATERIALIZE, DIFFERENCE without negatives, ...) therefore share
-/// the rows instead of duplicating them, and every holder sees the index
-/// and columns any holder already built.
+/// the rows instead of duplicating them, and every holder sees the columns
+/// any holder already built.
 ///
 /// Const access never copies. mutable_rows() (and the non-const operator[],
 /// push_back and emplace_back built on it) first makes the storage
 /// exclusive — copying the rows, without the derived facts, when another
 /// holder shares them — and otherwise drops the derived facts, so a mutation
-/// is never visible to another holder and no index or column set outlives
-/// the rows it describes. Hence the rules for writers:
+/// is never visible to another holder and no column set outlives the rows
+/// it describes. Hence the rules for writers:
 ///  * take mutable_rows() once per loop, not once per row (each call checks
 ///    sharing and the derived facts);
-///  * take it again after any chrom_index()/columns() call: a `Rows&` held
-///    across one would mutate rows the built layout still describes;
+///  * take it again after any columns() call: a `Rows&` held across one
+///    would mutate rows the built layout still describes;
 ///  * share a store only between samples whose datasets have the same
 ///    schema, since columns() is built once, against the first caller's.
 class RegionStore {
@@ -70,13 +70,9 @@ class RegionStore {
   const_iterator begin() const { return rows().begin(); }
   const_iterator end() const { return rows().end(); }
 
-  /// The chromosome index over the rows, built on first use. Concurrent
-  /// first callers race benignly: one build is published, the others are
-  /// dropped, and every caller sees the published one.
-  const ChromIndex& chrom_index() const;
-
-  /// The columnar layout over the rows, built against `schema` on first use
-  /// with the same thread-safety as chrom_index().
+  /// The columnar layout over the rows, built against `schema` on first
+  /// use. Concurrent first callers race benignly: one build is published,
+  /// the others are dropped, and every caller sees the published one.
   const RegionColumns& columns(const RegionSchema& schema) const;
 
   /// Resident bytes of the built columnar layout (0 when not built).

@@ -64,12 +64,6 @@ void ExistsOverlapImpl(const T* rl, const T* rr, size_t n, const T* el,
   }
 }
 
-int64_t DistCoords(int64_t al, int64_t ar, int64_t bl, int64_t br) {
-  // Same-chromosome genometric distance (GenomicRegion::DistanceTo):
-  // gap size when disjoint, 0 when adjacent, negated overlap size otherwise.
-  return std::max(al, bl) - std::min(ar, br);
-}
-
 }  // namespace
 
 CoordView CoordView::Of(const gdm::RegionColumns& cols, size_t begin,
@@ -156,58 +150,6 @@ void ProfileFromCoords(int32_t chrom, const int64_t* lefts,
     if (acc > 0 && next > pos) {
       out->push_back({chrom, pos, next, acc});
     }
-  }
-}
-
-void NearestKView(const CoordView& refs, const CoordView& exps, size_t k,
-                  const std::function<void(size_t, size_t)>& sink) {
-  if (k == 0 || refs.size == 0 || exps.size == 0) return;
-  int64_t max_len = 0;
-  for (size_t j = 0; j < exps.size; ++j) {
-    max_len = std::max(max_len, exps.right(j) - exps.left(j));
-  }
-  for (size_t i = 0; i < refs.size; ++i) {
-    const int64_t ref_left = refs.left(i);
-    const int64_t ref_right = refs.right(i);
-    size_t lo = 0, hi = exps.size;
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (exps.left(mid) < ref_left) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    // Same expanding-window candidate search as the row NearestK; see
-    // sweep.cc for the invariant argument.
-    std::vector<std::pair<int64_t, size_t>> cand;  // (distance, index)
-    int64_t radius = 1024;
-    while (true) {
-      cand.clear();
-      int64_t wlo = ref_left - radius - max_len;
-      int64_t whi = ref_right + radius;
-      for (size_t j = lo; j-- > 0;) {
-        if (exps.left(j) < wlo) break;
-        cand.push_back(
-            {DistCoords(ref_left, ref_right, exps.left(j), exps.right(j)), j});
-      }
-      for (size_t j = lo; j < exps.size; ++j) {
-        if (exps.left(j) > whi) break;
-        cand.push_back(
-            {DistCoords(ref_left, ref_right, exps.left(j), exps.right(j)), j});
-      }
-      size_t within = 0;
-      for (const auto& c : cand) {
-        if (c.first <= radius) ++within;
-      }
-      bool window_covers_all =
-          exps.left(0) >= wlo && exps.left(exps.size - 1) <= whi;
-      if (within >= k || window_covers_all) break;
-      radius *= 4;
-    }
-    std::sort(cand.begin(), cand.end());
-    size_t take = std::min(k, cand.size());
-    for (size_t t = 0; t < take; ++t) sink(i, cand[t].second);
   }
 }
 

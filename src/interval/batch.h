@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "gdm/region_columns.h"
@@ -44,7 +43,7 @@ struct MatchPair {
 /// \brief Batch overlap sweep: appends every overlapping (ref, exp) pair to
 /// `out` in the same order the row-based OverlapJoin reports them (refs
 /// ascending, active exps ascending per ref) so downstream accumulation is
-/// bit-identical to the row path.
+/// bit-identical to the reference executor's.
 ///
 /// Both views must cover a single chromosome and be sorted by (left, right).
 void CollectOverlaps(const CoordView& refs, const CoordView& exps,
@@ -62,13 +61,6 @@ void ExistsOverlapInto(const CoordView& refs, const CoordView& exps,
 void ProfileFromCoords(int32_t chrom, const int64_t* lefts,
                        const int64_t* rights, size_t n,
                        std::vector<AccSegment>* out);
-
-/// \brief Batch k-nearest: for each ref row of the view reports its k
-/// nearest exp rows by genometric distance (ties by coordinate order),
-/// matching the row-based NearestK. Indices passed to `sink` are local to
-/// the views.
-void NearestKView(const CoordView& refs, const CoordView& exps, size_t k,
-                  const std::function<void(size_t, size_t)>& sink);
 
 }  // namespace gdms::interval
 

@@ -1,7 +1,8 @@
 // Columnar storage and batch-kernel tests: RegionColumns round-trips, the
 // batch sweeps against their row-based references (identical matches, same
-// emission order), engine-level columnar-vs-row equality, and the
-// thread-safety of the lazy per-sample caches (run under `ctest -L tsan`).
+// emission order), engine-level equality of the columnar kernels with the
+// reference executor, and the thread-safety of the lazy per-sample caches
+// (run under `ctest -L tsan`).
 
 #include <gtest/gtest.h>
 
@@ -110,19 +111,30 @@ TEST(RegionColumnsTest, WideCoordinatesEscapeToInt64) {
   EXPECT_EQ(back[0].right, int64_t{1} << 33);
 }
 
-TEST(RegionColumnsTest, ChunkDirectoryMatchesChromIndex) {
+TEST(RegionColumnsTest, ChunkDirectoryMatchesRowScan) {
   std::mt19937 rng(7);
   Sample s(1);
   s.regions = RandomRegions(&rng, 500, 5, 1000000, 5000);
   RegionSchema schema;
   const RegionColumns& cols = s.columns(schema);
-  const auto& slices = s.chrom_index().slices();
-  ASSERT_EQ(cols.chunks().size(), slices.size());
-  for (size_t i = 0; i < slices.size(); ++i) {
-    EXPECT_EQ(cols.chunks()[i].chrom, slices[i].chrom);
-    EXPECT_EQ(cols.chunks()[i].begin, slices[i].begin);
-    EXPECT_EQ(cols.chunks()[i].end, slices[i].end);
-    EXPECT_EQ(cols.chunks()[i].max_len, s.chrom_index().MaxLen(slices[i].chrom));
+  // One chunk per run of equal chromosomes, with the run's max length.
+  const std::vector<GenomicRegion>& rows = s.regions.rows();
+  std::vector<gdm::ColumnChunk> runs;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const GenomicRegion& r = rows[i];
+    if (runs.empty() || runs.back().chrom != r.chrom) {
+      runs.push_back({r.chrom, i, i, 0});
+    }
+    runs.back().end = i + 1;
+    runs.back().max_len = std::max(runs.back().max_len, r.length());
+  }
+  ASSERT_EQ(cols.chunks().size(), runs.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(cols.chunks()[i].chrom, runs[i].chrom);
+    EXPECT_EQ(cols.chunks()[i].begin, runs[i].begin);
+    EXPECT_EQ(cols.chunks()[i].end, runs[i].end);
+    EXPECT_EQ(cols.chunks()[i].max_len, runs[i].max_len);
+    EXPECT_EQ(cols.FindChunk(runs[i].chrom), &cols.chunks()[i]);
   }
 }
 
@@ -220,54 +232,48 @@ TEST(BatchKernelTest, ProfileFromCoordsMatchesRowProfile) {
   }
 }
 
-TEST(BatchKernelTest, NearestKViewMatchesRowKernel) {
-  std::mt19937 rng(19);
-  for (int round = 0; round < 10; ++round) {
-    auto refs = RandomRegions(&rng, 80, 1, 200000, 1000);
-    auto exps = RandomRegions(&rng, 120, 1, 200000, 1000);
-    RegionSchema schema;
-    RegionColumns rcols = RegionColumns::Build(refs, schema);
-    RegionColumns ecols = RegionColumns::Build(exps, schema);
-    for (size_t k : {1u, 3u}) {
-      std::vector<std::pair<size_t, size_t>> row_pairs, batch_pairs;
-      interval::NearestK(refs, exps, k, [&](size_t i, size_t a) {
-        row_pairs.emplace_back(i, a);
-      });
-      interval::NearestKView(WholeView(rcols), WholeView(ecols), k,
-                             [&](size_t i, size_t a) {
-                               batch_pairs.emplace_back(i, a);
-                             });
-      EXPECT_EQ(batch_pairs, row_pairs);
-    }
-  }
-}
-
 // --------------------------------------------------- engine equivalence ---
 
-/// Runs one GMQL program columnar and row-wise on the same sources and
-/// expects byte-identical text serializations of every output.
+/// Text serializations of every output of one GMQL program; `exec` null
+/// runs the ReferenceExecutor.
+std::map<std::string, std::string> RunToText(
+    const std::string& gmql, const std::vector<Dataset>& sources,
+    core::Executor* exec) {
+  core::QueryRunner runner =
+      exec != nullptr ? core::QueryRunner(exec) : core::QueryRunner();
+  for (const auto& ds : sources) runner.RegisterDataset(ds);
+  auto results = runner.Run(gmql);
+  EXPECT_TRUE(results.ok()) << results.status().ToString();
+  std::map<std::string, std::string> texts;
+  if (!results.ok()) return texts;
+  for (const auto& [name, ds] : results.value()) {
+    texts[name] = io::WriteGdmString(ds);
+  }
+  return texts;
+}
+
+/// Runs one GMQL program on the engine, under both backends, and on the
+/// ReferenceExecutor, and expects byte-identical text serializations of
+/// every output. The pipelined run must take a columnar kernel.
 void ExpectColumnarEquals(const std::string& gmql,
                           const std::vector<Dataset>& sources,
                           size_t threads = 3) {
-  std::map<std::string, std::string> texts[2];
-  for (int columnar = 0; columnar < 2; ++columnar) {
+  std::map<std::string, std::string> reference =
+      RunToText(gmql, sources, nullptr);
+  ASSERT_FALSE(reference.empty()) << gmql;
+  for (auto backend : {engine::BackendKind::kPipelined,
+                       engine::BackendKind::kMaterialized}) {
     engine::EngineOptions opt;
     opt.threads = threads;
+    opt.backend = backend;
     engine::ParallelExecutor exec(opt);
-    core::QueryRunner runner(&exec);
-    runner.set_columnar(columnar == 1);
-    for (const auto& ds : sources) runner.RegisterDataset(ds);
-    auto results = runner.Run(gmql);
-    ASSERT_TRUE(results.ok()) << results.status().ToString();
-    for (const auto& [name, ds] : results.value()) {
-      texts[columnar][name] = io::WriteGdmString(ds);
-    }
-    if (columnar == 1) {
+    EXPECT_EQ(RunToText(gmql, sources, &exec), reference)
+        << engine::BackendKindName(backend) << ": " << gmql;
+    if (backend == engine::BackendKind::kPipelined) {
       EXPECT_GT(exec.trace().columnar_tasks.load(), 0u)
-          << "columnar path not taken for: " << gmql;
+          << "columnar kernel not taken for: " << gmql;
     }
   }
-  EXPECT_EQ(texts[0], texts[1]) << gmql;
 }
 
 std::vector<Dataset> SimSources() {
@@ -299,25 +305,8 @@ TEST(ColumnarEngineTest, MapStringAggregateEquivalence) {
 }
 
 TEST(ColumnarEngineTest, DifferenceEquivalence) {
-  // DIFFERENCE has only the columnar kernel, so the oracle is the
-  // reference executor.
-  const char* gmql = "D = DIFFERENCE() ANNOTATIONS ENCODE; MATERIALIZE D;";
-  engine::EngineOptions opt;
-  opt.threads = 3;
-  engine::ParallelExecutor exec(opt);
-  core::QueryRunner engine_runner(&exec);
-  core::QueryRunner ref_runner;
-  for (const auto& ds : SimSources()) {
-    engine_runner.RegisterDataset(ds);
-    ref_runner.RegisterDataset(ds);
-  }
-  auto engine_out = engine_runner.Run(gmql);
-  auto ref_out = ref_runner.Run(gmql);
-  ASSERT_TRUE(engine_out.ok()) << engine_out.status().ToString();
-  ASSERT_TRUE(ref_out.ok()) << ref_out.status().ToString();
-  EXPECT_GT(exec.trace().columnar_tasks.load(), 0u);
-  EXPECT_EQ(io::WriteGdmString(engine_out.value().at("D")),
-            io::WriteGdmString(ref_out.value().at("D")));
+  ExpectColumnarEquals("D = DIFFERENCE() ANNOTATIONS ENCODE; MATERIALIZE D;",
+                       SimSources());
 }
 
 TEST(ColumnarEngineTest, CoverVariantsEquivalence) {
@@ -329,16 +318,28 @@ TEST(ColumnarEngineTest, CoverVariantsEquivalence) {
                        SimSources());
 }
 
-TEST(ColumnarEngineTest, MedianFallsBackToRowPath) {
-  engine::EngineOptions opt;
-  opt.threads = 2;
-  engine::ParallelExecutor exec(opt);
-  core::QueryRunner runner(&exec);
-  for (const auto& ds : SimSources()) runner.RegisterDataset(ds);
-  auto results = runner.Run(
-      "R = MAP(md AS MEDIAN(signal)) ANNOTATIONS ENCODE; MATERIALIZE R;");
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  EXPECT_EQ(exec.trace().columnar_tasks.load(), 0u);
+TEST(ColumnarEngineTest, MedianAndBagRunColumnarKernel) {
+  // MEDIAN and BAG keep the matched value multiset, yet run the same batch
+  // kernel as the moment aggregates on both backends.
+  const char* gmql =
+      "R = MAP(md AS MEDIAN(signal), b AS BAG(name)) ANNOTATIONS ENCODE; "
+      "MATERIALIZE R;";
+  std::map<std::string, std::string> reference =
+      RunToText(gmql, SimSources(), nullptr);
+  for (auto backend : {engine::BackendKind::kPipelined,
+                       engine::BackendKind::kMaterialized}) {
+    engine::EngineOptions opt;
+    opt.threads = 2;
+    opt.backend = backend;
+    engine::ParallelExecutor exec(opt);
+    EXPECT_EQ(RunToText(gmql, SimSources(), &exec), reference)
+        << engine::BackendKindName(backend);
+    EXPECT_GT(exec.trace().columnar_tasks.load(), 0u)
+        << engine::BackendKindName(backend);
+    EXPECT_EQ(exec.trace().columnar_tasks.load(),
+              exec.trace().partitions.load())
+        << engine::BackendKindName(backend);
+  }
 }
 
 TEST(ColumnarEngineTest, NullValuesEquivalence) {
@@ -375,13 +376,14 @@ TEST(ColumnarEngineTest, NullValuesEquivalence) {
 
   ExpectColumnarEquals(
       "R = MAP(n AS COUNT, a AS AVG(v), sd AS STD(v), nv AS COUNT(v), "
-      "nt AS COUNT(tag)) REF EXP; MATERIALIZE R;",
+      "nt AS COUNT(tag), md AS MEDIAN(v), b AS BAG(tag)) REF EXP; "
+      "MATERIALIZE R;",
       {ref, exp});
 }
 
 // ------------------------------------------------------- cache thread-safety
 
-// Exercises the lazy ChromIndex / RegionColumns publication under
+// Exercises the lazy RegionColumns and attribute-column publication under
 // concurrent first access (the regression the engine's pre-touch loops used
 // to paper over). Run under `ctest -L tsan` to verify with ThreadSanitizer.
 TEST(ColumnarCacheTest, ConcurrentLazyBuildIsSafe) {
@@ -395,26 +397,28 @@ TEST(ColumnarCacheTest, ConcurrentLazyBuildIsSafe) {
     constexpr int kThreads = 8;
     std::atomic<int> ready{0};
     std::vector<std::thread> workers;
-    std::vector<size_t> index_sizes(kThreads), column_sizes(kThreads);
+    std::vector<size_t> chunk_counts(kThreads), attr_sizes(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       workers.emplace_back([&, t] {
         ready.fetch_add(1);
         while (ready.load() < kThreads) {
         }
-        // Half the threads race the index, half the columns, all then read.
+        // Every thread races the columns; half then read the chunk
+        // directory first, half race the lazy attribute column first.
+        const RegionColumns& cols = s.columns(schema);
         if (t % 2 == 0) {
-          index_sizes[t] = s.chrom_index().slices().size();
-          column_sizes[t] = s.columns(schema).size();
+          chunk_counts[t] = cols.chunks().size();
+          attr_sizes[t] = cols.attr(0).size();
         } else {
-          column_sizes[t] = s.columns(schema).size();
-          index_sizes[t] = s.chrom_index().slices().size();
+          attr_sizes[t] = cols.attr(0).size();
+          chunk_counts[t] = cols.chunks().size();
         }
       });
     }
     for (auto& w : workers) w.join();
     for (int t = 0; t < kThreads; ++t) {
-      EXPECT_EQ(column_sizes[t], s.regions.size());
-      EXPECT_EQ(index_sizes[t], s.chrom_index().slices().size());
+      EXPECT_EQ(attr_sizes[t], s.regions.size());
+      EXPECT_EQ(chunk_counts[t], s.columns(schema).chunks().size());
     }
   }
 }

@@ -300,56 +300,70 @@ TEST(DatasetTest, DescribeMentionsSchemaAndMeta) {
   EXPECT_NE(d.find("karyotype"), std::string::npos);
 }
 
-TEST(ChromIndexTest, SlicesAndMaxLen) {
+// The columns' chunk directory is a sample's per-chromosome index: the
+// engine's partitioners read chromosome ranges, max region lengths and
+// left-coordinate lower bounds from it.
+TEST(ChunkDirectoryTest, SlicesAndMaxLen) {
+  // Raw chromosome ids, so the absent chromosome's insertion point does not
+  // depend on the order names were interned in.
+  constexpr int32_t kChr1 = 1, kChr2 = 2, kChr3 = 3, kChr4 = 4;
   std::vector<GenomicRegion> rs;
-  rs.emplace_back(InternChrom("chr1"), 100, 200);
-  rs.emplace_back(InternChrom("chr1"), 150, 1150);
-  rs.emplace_back(InternChrom("chr1"), 300, 320);
-  rs.emplace_back(InternChrom("chr3"), 5, 10);
+  rs.emplace_back(kChr1, 100, 200);
+  rs.emplace_back(kChr1, 150, 1150);
+  rs.emplace_back(kChr1, 300, 320);
+  rs.emplace_back(kChr3, 5, 10);
   SortRegions(&rs);
-  ChromIndex idx = ChromIndex::Build(rs);
-  ASSERT_EQ(idx.slices().size(), 2u);
-  const ChromIndex::Slice* c1 = idx.FindSlice(InternChrom("chr1"));
+  RegionColumns cols = RegionColumns::Build(rs, RegionSchema());
+  ASSERT_EQ(cols.chunks().size(), 2u);
+  const ColumnChunk* c1 = cols.FindChunk(kChr1);
   ASSERT_NE(c1, nullptr);
   EXPECT_EQ(c1->begin, 0u);
   EXPECT_EQ(c1->end, 3u);
   EXPECT_EQ(c1->max_len, 1000);
-  EXPECT_EQ(idx.MaxLen(InternChrom("chr1")), 1000);
-  EXPECT_EQ(idx.MaxLen(InternChrom("chr2")), 0);
-  EXPECT_EQ(idx.FindSlice(InternChrom("chr2")), nullptr);
-  // Lower bound on left within a chromosome slice.
-  EXPECT_EQ(idx.LowerBoundLeft(rs, InternChrom("chr1"), 150), 1u);
-  EXPECT_EQ(idx.LowerBoundLeft(rs, InternChrom("chr1"), 151), 2u);
-  EXPECT_EQ(idx.LowerBoundLeft(rs, InternChrom("chr1"), 10000), 3u);
-  EXPECT_EQ(idx.LowerBoundLeft(rs, InternChrom("chr3"), 0), 3u);
+  EXPECT_EQ(cols.MaxLen(kChr1), 1000);
+  EXPECT_EQ(cols.MaxLen(kChr2), 0);
+  EXPECT_EQ(cols.FindChunk(kChr2), nullptr);
+  // Lower bound on left within a chromosome's chunk.
+  EXPECT_EQ(cols.LowerBoundLeft(kChr1, 150), 1u);
+  EXPECT_EQ(cols.LowerBoundLeft(kChr1, 151), 2u);
+  EXPECT_EQ(cols.LowerBoundLeft(kChr1, 10000), 3u);
+  EXPECT_EQ(cols.LowerBoundLeft(kChr3, 0), 3u);
+  // An absent chromosome yields its insertion point: the first row of the
+  // next larger chromosome, or size() past the last one.
+  EXPECT_EQ(cols.LowerBoundLeft(kChr2, 0), 3u);
+  EXPECT_EQ(cols.LowerBoundLeft(kChr2, 1 << 30), 3u);
+  EXPECT_EQ(cols.LowerBoundLeft(kChr4, 0), 4u);
+  EXPECT_EQ(cols.LowerBoundLeft(0, 0), 0u);
 }
 
-TEST(ChromIndexTest, SampleCachesAndReuses) {
+TEST(ChunkDirectoryTest, SampleCachesAndReuses) {
   Sample s(1);
   s.regions.emplace_back(InternChrom("chr1"), 10, 20);
   s.regions.emplace_back(InternChrom("chr2"), 5, 105);
-  const ChromIndex& idx = s.chrom_index();
-  EXPECT_EQ(idx.MaxLen(InternChrom("chr2")), 100);
+  RegionSchema schema;
+  const RegionColumns& cols = s.columns(schema);
+  EXPECT_EQ(cols.MaxLen(InternChrom("chr2")), 100);
   // Unchanged storage: same cached object.
-  EXPECT_EQ(&s.chrom_index(), &idx);
+  EXPECT_EQ(&s.columns(schema), &cols);
 }
 
-TEST(ChromIndexTest, InvalidatesAfterRegionMutation) {
+TEST(ChunkDirectoryTest, InvalidatesAfterRegionMutation) {
   Sample s(1);
+  RegionSchema schema;
   for (int i = 0; i < 8; ++i) {
     s.regions.emplace_back(InternChrom("chr1"), i * 100, i * 100 + 10);
   }
-  EXPECT_EQ(s.chrom_index().MaxLen(InternChrom("chr1")), 10);
+  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr1")), 10);
   // Size change (append) is detected automatically.
   s.regions.emplace_back(InternChrom("chr2"), 0, 500);
-  EXPECT_EQ(s.chrom_index().MaxLen(InternChrom("chr2")), 500);
+  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr2")), 500);
   // In-place coordinate mutation goes through a non-const accessor, which
-  // drops the index too.
+  // drops the columns too.
   s.regions[0].right = s.regions[0].left + 9000;
   s.SortNow();
-  EXPECT_EQ(s.chrom_index().MaxLen(InternChrom("chr1")), 9000);
+  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr1")), 9000);
   s.regions[1].right = s.regions[1].left + 20000;
-  EXPECT_EQ(s.chrom_index().MaxLen(InternChrom("chr1")), 20000);
+  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr1")), 20000);
 }
 
 TEST(RegionStoreTest, CopiesShareUntilWritten) {
@@ -392,7 +406,7 @@ TEST(RegionStoreTest, MutatingUnsharedStoreDropsDerivedFacts) {
   Sample s(1);
   s.regions.emplace_back(InternChrom("chr1"), 10, 20, Strand::kNone,
                          std::vector<Value>{Value(int64_t{1})});
-  EXPECT_EQ(s.chrom_index().MaxLen(InternChrom("chr1")), 10);
+  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr1")), 10);
   EXPECT_EQ(s.columns(schema).attr(0).ints()[0], 1);
   uint64_t bytes = s.regions.RowBytes();
   const void* id = s.regions.storage_id();
@@ -405,7 +419,7 @@ TEST(RegionStoreTest, MutatingUnsharedStoreDropsDerivedFacts) {
   rows[0].values[0] = Value(int64_t{9});
   rows.emplace_back(InternChrom("chr1"), 600, 700, Strand::kNone,
                     std::vector<Value>{Value(int64_t{3})});
-  EXPECT_EQ(s.chrom_index().MaxLen(InternChrom("chr1")), 500);
+  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr1")), 500);
   EXPECT_EQ(s.columns(schema).attr(0).ints()[0], 9);
   EXPECT_GT(s.regions.RowBytes(), bytes);
 }

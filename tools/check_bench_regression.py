@@ -21,14 +21,12 @@ bench_e6 reports fail when:
     reported only.
 
 bench_e7 reports fail when:
-  * the columnar speedup at max threads falls below the 1.5x acceptance
-    floor or below baseline * (1 - tolerance),
   * the .gdmz/.gdm size ratio falls below the 3x acceptance floor or the
     encoded size grew beyond tolerance (both figures are byte counts of a
     seeded corpus, so they are machine-independent),
   * bytes_resident is missing or grew beyond tolerance,
-  * a (threads, columnar) row's wall_seconds regressed beyond
-    the tolerance, or its task count changed (task counts are exact).
+  * a thread-count row's wall_seconds regressed beyond the tolerance, or
+    its task count changed (task counts are exact).
 
 bench_e8 reports fail when:
   * any retryable-fault scenario (fault_free, flaky_fetch, straggler_*)
@@ -67,12 +65,9 @@ import argparse
 import json
 import sys
 
-# Acceptance floors from the E7 columnar-storage work: the columnar fast
-# path must stay >= 1.5x over the row path at the max measured thread
-# count, and .gdmz must stay >= 3x smaller than the text format. These are
-# absolute (not relative-to-baseline) so a slow baseline can never mask a
-# real regression below the shipped figures.
-E7_MIN_COLUMNAR_SPEEDUP = 1.5
+# Acceptance floor from the E7 columnar-storage work: .gdmz must stay >= 3x
+# smaller than the text format. Absolute (not relative-to-baseline) so a
+# bad baseline can never mask a real regression below the shipped figure.
 E7_MIN_SIZE_RATIO = 3.0
 
 # Acceptance floors from the E8 federation-resilience work. Retryable
@@ -186,30 +181,11 @@ def check_e6(baseline, current, tol, failures, notes):
 
 
 def e7_rows(report):
-    return {
-        (run["threads"], run.get("columnar", 1)): run
-        for run in report.get("runs", [])
-    }
+    return {run["threads"]: run for run in report.get("runs", [])}
 
 
 def check_e7(baseline, current, tol, failures, notes):
-    # Absolute acceptance floors first: these hold regardless of baseline.
-    speedup = current.get("columnar_speedup_at_max_threads")
-    if speedup is None:
-        failures.append("columnar_speedup_at_max_threads missing from report")
-    else:
-        line = f"columnar_speedup_at_max_threads: {speedup:.2f}x (floor {E7_MIN_COLUMNAR_SPEEDUP}x)"
-        if speedup < E7_MIN_COLUMNAR_SPEEDUP:
-            failures.append(line + " below acceptance floor")
-        else:
-            notes.append(line)
-        base_speedup = baseline.get("columnar_speedup_at_max_threads")
-        if base_speedup and speedup < base_speedup * (1 - tol):
-            failures.append(
-                f"columnar_speedup_at_max_threads: {base_speedup:.2f}x -> "
-                f"{speedup:.2f}x dropped more than {tol:.0%}"
-            )
-
+    # The absolute acceptance floor first: it holds regardless of baseline.
     ratio = current.get("size_ratio")
     if ratio is None:
         failures.append("size_ratio missing from report")
@@ -239,10 +215,9 @@ def check_e7(baseline, current, tol, failures, notes):
 
     base_rows = e7_rows(baseline)
     cur_rows = e7_rows(current)
-    for key, base in sorted(base_rows.items()):
-        cur = cur_rows.get(key)
-        threads, columnar = key
-        label = f"threads={threads} {'columnar' if columnar else 'row'}"
+    for threads, base in sorted(base_rows.items()):
+        cur = cur_rows.get(threads)
+        label = f"threads={threads}"
         if cur is None:
             failures.append(f"row {label} missing from current report")
             continue

@@ -8,7 +8,7 @@
 // Usage:
 //   gdms_shell [--load NAME=FILE]... [--query FILE | --exec GMQL]
 //              [--out DIR] [--parallel [THREADS]] [--no-optimize]
-//              [--no-fusion] [--no-columnar] [--show CHR:LEFT-RIGHT]
+//              [--no-fusion] [--show CHR:LEFT-RIGHT]
 //              [--demo] [--gdmz-selftest] [--mem-budget-mb X]
 //              [--trace FILE.json] [--metrics]
 //              [--serve] [--sample-ms N] [--query-log FILE]
@@ -241,7 +241,7 @@ struct ServeConfig {
   size_t queue_limit = 64;   ///< --queue-limit
   double deadline_ms = 0;    ///< --deadline-ms (0 = none)
   size_t engine_threads = 1; ///< per-worker engine threads (from --parallel)
-  core::ExecOptions exec;    ///< optimize/fusion/columnar for prepares
+  core::ExecOptions exec;    ///< optimize/fusion for prepares
 };
 
 /// The long-running loop behind `gdms_shell --serve`: reads commands from
@@ -755,7 +755,6 @@ int main(int argc, char** argv) {
   size_t threads = 0;
   bool optimize = true;
   bool fusion = true;
-  bool columnar = true;
   bool gdmz_selftest = false;
   bool demo = false;
   bool serve = false;
@@ -808,8 +807,6 @@ int main(int argc, char** argv) {
       optimize = false;
     } else if (arg == "--no-fusion") {
       fusion = false;
-    } else if (arg == "--no-columnar") {
-      columnar = false;
     } else if (arg == "--gdmz-selftest") {
       gdmz_selftest = true;
     } else if (arg == "--demo") {
@@ -894,8 +891,7 @@ int main(int argc, char** argv) {
           "usage: gdms_shell [--repo DIR] [--load NAME=FILE]...\n"
           "                  [--query FILE | --exec GMQL]\n"
           "                  [--out DIR] [--parallel [N]] [--no-optimize]\n"
-          "                  [--no-fusion] [--no-columnar]\n"
-          "                  [--show CHR:LEFT-RIGHT] [--demo]\n"
+          "                  [--no-fusion] [--show CHR:LEFT-RIGHT] [--demo]\n"
           "                  [--gdmz-selftest] [--mem-budget-mb X]\n"
           "                  [--trace FILE.json] [--metrics]\n"
           "                  [--serve] [--workers N] [--queue-limit N]\n"
@@ -931,7 +927,6 @@ int main(int argc, char** argv) {
   }
   runner->set_optimize(optimize);
   runner->set_fusion(fusion);
-  runner->set_columnar(columnar);
 
   if (demo) LoadDemo(runner.get());
   if (!repo_dir.empty()) {
@@ -965,7 +960,6 @@ int main(int argc, char** argv) {
     serve_config.engine_threads = parallel ? (threads > 0 ? threads : 2) : 1;
     serve_config.exec.optimize = optimize;
     serve_config.exec.fusion = fusion;
-    serve_config.exec.columnar = columnar;
     ServeSession session(runner.get(), serve_config);
     return session.Loop();
   }
