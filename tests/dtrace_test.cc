@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/dtrace.h"
@@ -382,14 +385,27 @@ TEST(ServeTrace, ShedQueryEmitsMinimalTraceWithQueueSegment) {
   serve::ServeOptions opt;
   opt.workers = 1;
   serve::SessionManager manager(&catalog, opt);
-  // Occupy the single worker so the deadlined query expires in the queue
-  // (COVER over the generated peaks takes well over 10us).
+  // Occupy the single worker so the deadlined query expires in the queue:
+  // the first query's callback holds the worker until the deadline of the
+  // second has passed. (Relying on COVER's run time alone let the worker
+  // go idle before the second query was submitted when the test thread
+  // was descheduled in between.)
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
   auto id = manager.Submit("C = COVER(2, ANY) ENCODE; MATERIALIZE C;",
-                           [](const serve::ServeResponse&) {});
+                           [released](const serve::ServeResponse&) {
+                             released.wait();
+                           });
   ASSERT_TRUE(id.ok());
-  serve::ServeResponse resp = manager.Execute(
+  std::promise<serve::ServeResponse> shed;
+  auto shed_id = manager.Submit(
       "R = SELECT(dataType == 'ChipSeq') ENCODE; MATERIALIZE R;",
+      [&shed](const serve::ServeResponse& r) { shed.set_value(r); },
       /*deadline_ms=*/0.01);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  release.set_value();
+  ASSERT_TRUE(shed_id.ok());
+  serve::ServeResponse resp = shed.get_future().get();
   ASSERT_FALSE(resp.status.ok());
   ASSERT_NE(resp.trace, nullptr);
   EXPECT_EQ(resp.trace->reason, "shed");
