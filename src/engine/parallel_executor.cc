@@ -124,34 +124,54 @@ class MapAggState {
   }
 
   /// Folds one partition's overlap matches, fetching each matched input
-  /// value from the exp rows (late materialization: matches are sparse
-  /// relative to the exp row count, so random value fetches beat building a
-  /// dense value column first). Match (ref, exp) indices are local to the
-  /// partition, whose rows start at `ref_offset` / `exps[exp_offset]`.
-  /// Mirrors AggAccumulator::Add: NULLs are skipped entirely, and string
-  /// values count toward non-null but contribute no numerics (their moments
-  /// stay at the zero initializer, exactly like the accumulator's).
+  /// value from the exp side's attribute column (late materialization:
+  /// matches are sparse relative to the exp row count, so random fetches
+  /// beat a dense pass). Match (ref, exp) indices are local to the
+  /// partition, whose rows start at `ref_offset` / `input[exp_offset]`.
+  /// The column's type is switched on once. Mirrors AggAccumulator::Add:
+  /// NULLs are skipped entirely, and string values count toward non-null
+  /// but contribute no numerics (their moments stay at the zero
+  /// initializer, exactly like the accumulator's).
   void AddMatches(const std::vector<interval::MatchPair>& matches,
-                  const std::vector<GenomicRegion>& exps, size_t attr_index,
-                  size_t ref_offset, size_t exp_offset) {
+                  const gdm::ValueColumn& input, size_t ref_offset,
+                  size_t exp_offset) {
     if (func_ == AggFunc::kCount) return;
-    for (const auto& mp : matches) {
-      const GenomicRegion& er = exps[exp_offset + mp.exp];
-      if (attr_index >= er.values.size()) continue;
-      const Value& v = er.values[attr_index];
-      if (v.is_null()) continue;
-      size_t ri = ref_offset + mp.ref;
-      if (KeepsValues()) {
-        accs_[ri].Add(v);
-      } else if (v.is_double()) {
-        Update(ri, v.AsDouble());
-      } else if (v.is_int()) {
-        Update(ri, static_cast<double>(v.AsInt()));
-      } else if (v.is_bool()) {
-        Update(ri, v.AsBool() ? 1.0 : 0.0);
-      } else {
-        ++nn_[ri];  // non-numeric: ToNumeric fails after non_null_ counted
+    auto each_valid = [&](auto&& add) {
+      for (const auto& mp : matches) {
+        size_t ei = exp_offset + mp.exp;
+        if (input.IsValid(ei)) add(ref_offset + mp.ref, ei);
       }
+    };
+    if (KeepsValues()) {
+      each_valid([&](size_t ri, size_t ei) { accs_[ri].Add(input.At(ei)); });
+      return;
+    }
+    switch (input.type()) {
+      case gdm::AttrType::kDouble: {
+        const double* v = input.doubles().data();
+        each_valid([&](size_t ri, size_t ei) { Update(ri, v[ei]); });
+        break;
+      }
+      case gdm::AttrType::kInt: {
+        const int64_t* v = input.ints().data();
+        each_valid([&](size_t ri, size_t ei) {
+          Update(ri, static_cast<double>(v[ei]));
+        });
+        break;
+      }
+      case gdm::AttrType::kBool: {
+        const uint8_t* v = input.bools().data();
+        each_valid([&](size_t ri, size_t ei) {
+          Update(ri, v[ei] != 0 ? 1.0 : 0.0);
+        });
+        break;
+      }
+      case gdm::AttrType::kString:
+        // Non-numeric: ToNumeric fails after non_null_ counted.
+        each_valid([&](size_t ri, size_t) { ++nn_[ri]; });
+        break;
+      case gdm::AttrType::kNull:
+        break;  // every row is NULL
     }
   }
 
@@ -319,9 +339,8 @@ Status ParallelExecutor::RunPartitionStages(
   if (options_.backend == BackendKind::kPipelined) {
     RunStage(compute_stage, parts.size(), [&](size_t pi) {
       const Partition& part = parts[pi];
-      auto [refs, exps] = inputs(pi);
-      kernel(pi, *refs, part.ref_begin, part.ref_end, *exps, part.exp_begin,
-             part.exp_end);
+      kernel(pi, nullptr, part.ref_begin, part.ref_end, nullptr,
+             part.exp_begin, part.exp_end);
     });
     return Status::OK();
   }
@@ -351,7 +370,7 @@ Status ParallelExecutor::RunPartitionStages(
     }
     const Regions& rv = refs.value();
     const Regions& ev = exps.value();
-    kernel(pi, rv, 0, rv.size(), ev, 0, ev.size());
+    kernel(pi, &rv, 0, rv.size(), &ev, 0, ev.size());
   });
   return errors.status();
 }
@@ -622,8 +641,8 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
         const PairState& ps = pairs[owner[pi]];
         return std::make_pair(&ps.rs->regions.rows(), &ps.es->regions.rows());
       },
-      [&](size_t pi, const Regions& refs, size_t rb, size_t re,
-          const Regions& exps, size_t eb, size_t ee) {
+      [&](size_t pi, const Regions* refs, size_t rb, size_t re,
+          const Regions* exps, size_t eb, size_t ee) {
         PairState& ps = pairs[owner[pi]];
         trace_.columnar_tasks.fetch_add(1, kRelaxed);
         std::vector<interval::MatchPair> matches;
@@ -632,8 +651,9 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
                                     interval::CoordView::Of(*ps.ecols, eb, ee),
                                     &matches);
         } else {
-          interval::CollectOverlaps(SliceCoords(refs, rb, re).view(),
-                                    SliceCoords(exps, eb, ee).view(), &matches);
+          interval::CollectOverlaps(SliceCoords(*refs, rb, re).view(),
+                                    SliceCoords(*exps, eb, ee).view(),
+                                    &matches);
         }
         // Ref rows are disjoint across partitions, so the per-pair arrays
         // need no synchronization.
@@ -642,7 +662,17 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
           ++ps.match_count[ref_offset + mp.ref];
         }
         for (size_t x = 0; x < specs.size(); ++x) {
-          ps.aggs[x].AddMatches(matches, exps, agg_inputs[x], ref_offset, eb);
+          if (specs[x].func == AggFunc::kCount) continue;
+          size_t a = agg_inputs[x];
+          if (pipelined) {
+            ps.aggs[x].AddMatches(matches, ps.ecols->attr(a), ref_offset, eb);
+          } else {
+            // The decoded slice is this partition's copy of the exp rows.
+            ps.aggs[x].AddMatches(
+                matches,
+                gdm::ValueColumn::Build(*exps, a, exp.schema().attr(a).type),
+                ref_offset, eb);
+          }
         }
       }));
 
@@ -743,8 +773,11 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
         const PairState& ps = pairs[owner[pi]];
         return std::make_pair(&ps.ls->regions.rows(), &ps.rs->regions.rows());
       },
-      [&](size_t pi, const Regions& lv, size_t lb, size_t le,
-          const Regions& rv, size_t rb, size_t re) {
+      [&](size_t pi, const Regions* lslice, size_t lb, size_t le,
+          const Regions* rslice, size_t rb, size_t re) {
+        const PairState& ps = pairs[owner[pi]];
+        const Regions& lv = lslice != nullptr ? *lslice : ps.ls->regions.rows();
+        const Regions& rv = rslice != nullptr ? *rslice : ps.rs->regions.rows();
         SliceSweep(lv, lb, le, rv, rb, re, window, [&](size_t i, size_t a) {
           Operators::JoinEmit(params, lv[i], rv[a], &chunk_out[pi]);
         });

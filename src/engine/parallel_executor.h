@@ -108,10 +108,13 @@ class ParallelExecutor : public core::Executor {
  private:
   using Partition = TaskPartition;
   using Regions = std::vector<gdm::GenomicRegion>;
-  /// Computes one partition over refs[rb, re) x exps[eb, ee).
+  /// Computes one partition over refs[rb, re) x exps[eb, ee). The region
+  /// lists are the decoded shuffle slices on the materialized backend and
+  /// null on the pipelined one, where the kernel reads its samples' own
+  /// storage (columns, or rows where it needs them) at those bounds.
   using PartitionKernel =
-      std::function<void(size_t pi, const Regions& refs, size_t rb, size_t re,
-                         const Regions& exps, size_t eb, size_t ee)>;
+      std::function<void(size_t pi, const Regions* refs, size_t rb, size_t re,
+                         const Regions* exps, size_t eb, size_t ee)>;
 
   /// Operator dispatch (the switch); Execute wraps it to publish counter
   /// deltas into the metrics registry.
@@ -128,11 +131,13 @@ class ParallelExecutor : public core::Executor {
 
   /// The backend's stage boundary for the kernels of MAP and JOIN.
   /// Partition `pi` covers parts[pi]'s ranges of the region lists returned
-  /// by `inputs(pi)`. Pipelined: one `compute_stage` runs `kernel` over the
-  /// slices in place. Materialized: `shuffle_stage` encodes both slices of
-  /// every partition, ONE barrier is counted, the buffers are charged to
-  /// the active query while they live, and `compute_stage` decodes each
-  /// partition (first decode error wins) and runs `kernel` on the copies.
+  /// by `inputs(pi)`. Pipelined: one `compute_stage` runs `kernel` at
+  /// parts[pi]'s bounds with no region lists, and `inputs` is never called
+  /// (so a columnar kernel never makes a sample build its rows).
+  /// Materialized: `shuffle_stage` encodes both slices of every partition,
+  /// ONE barrier is counted, the buffers are charged to the active query
+  /// while they live, and `compute_stage` decodes each partition (first
+  /// decode error wins) and runs `kernel` on the copies.
   Status RunPartitionStages(
       const char* shuffle_stage, const char* compute_stage,
       const std::vector<Partition>& parts,

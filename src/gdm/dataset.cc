@@ -18,6 +18,24 @@ uint64_t Dataset::TotalMetadata() const {
   return total;
 }
 
+Status Dataset::ValidateColumns(const RegionColumns& cols) const {
+  if (cols.num_attrs() != schema_.size()) {
+    return Status::SchemaMismatch(
+        "region columns have " + std::to_string(cols.num_attrs()) +
+        " attributes, schema has " + std::to_string(schema_.size()) +
+        " (dataset " + name_ + ")");
+  }
+  for (size_t a = 0; a < cols.num_attrs(); ++a) {
+    AttrType type = cols.attr(a).type();
+    if (type != AttrType::kNull && type != schema_.attr(a).type) {
+      return Status::TypeError("attribute " + schema_.attr(a).name +
+                               " expects " + AttrTypeName(schema_.attr(a).type) +
+                               " but its column holds " + AttrTypeName(type));
+    }
+  }
+  return Status::OK();
+}
+
 Status Dataset::Validate() const {
   std::unordered_set<SampleId> seen;
   for (const auto& s : samples_) {
@@ -25,6 +43,13 @@ Status Dataset::Validate() const {
       return Status::InvalidArgument("duplicate sample id " +
                                      std::to_string(s.id) + " in dataset " +
                                      name_);
+    }
+    if (!s.regions.rows_built()) {
+      // Column-primary storage (a decoded .gdmz sample): typed columns and
+      // left <= right hold by construction, so only the attribute types
+      // can disagree with the schema — and checking them builds no rows.
+      GDMS_RETURN_NOT_OK(ValidateColumns(s.regions.columns(schema_)));
+      continue;
     }
     for (const auto& r : s.regions) {
       if (r.left > r.right) {

@@ -93,7 +93,8 @@ class Dataset {
   /// Checks the GDM constraint: every region of every sample has exactly
   /// schema().size() values whose types match the schema (NULL always
   /// matches), region coordinates are valid (left <= right), and sample ids
-  /// are unique within the dataset.
+  /// are unique within the dataset. A column-primary sample (see
+  /// RegionStore) is checked on its columns, without building its rows.
   Status Validate() const;
 
   /// Estimated serialized size in bytes (used by the federated protocol's
@@ -131,6 +132,9 @@ class Dataset {
   std::string Describe(size_t max_samples = 2, size_t max_regions = 5) const;
 
  private:
+  /// The attribute-type half of Validate() for a column-primary sample.
+  Status ValidateColumns(const RegionColumns& cols) const;
+
   std::string name_;
   RegionSchema schema_;
   std::vector<Sample> samples_;

@@ -1,9 +1,11 @@
 #include "gdm/region_columns.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <functional>
 #include <limits>
-#include <unordered_map>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -35,50 +37,72 @@ std::vector<ColumnChunk>::const_iterator ChunkLowerBound(
 
 }  // namespace
 
-ValueColumn ValueColumn::Build(const std::vector<GenomicRegion>& regions,
-                               size_t attr_index, AttrType type) {
-  ValueColumn col;
-  col.type_ = type;
-  col.size_ = regions.size();
-  const size_t n = regions.size();
+StringNumbering::StringNumbering(size_t max_distinct)
+    : slots_(std::bit_ceil(2 * max_distinct + 2), 0) {}
 
-  // First pass: find nulls. A row is null when the region's value vector is
-  // short or the slot holds a NULL (both legal per Dataset::Validate).
-  size_t nulls = 0;
-  for (const auto& r : regions) {
-    if (attr_index >= r.values.size() || r.values[attr_index].is_null()) {
-      ++nulls;
+uint32_t StringNumbering::Number(std::string_view s,
+                                 std::vector<std::string>* strings) {
+  const size_t mask = slots_.size() - 1;
+  for (size_t slot = std::hash<std::string_view>()(s) & mask;;
+       slot = (slot + 1) & mask) {
+    uint32_t v = slots_[slot];
+    if (v == 0) {
+      strings->emplace_back(s);
+      slots_[slot] = static_cast<uint32_t>(strings->size());
+      return slots_[slot] - 1;
     }
+    if ((*strings)[v - 1] == s) return v - 1;
   }
-  if (nulls > 0) {
-    col.validity_.assign((n + 7) / 8, 0);
-  }
+}
 
+ValueColumn::ValueColumn(AttrType type, size_t size,
+                         std::vector<uint8_t> validity)
+    : type_(type), size_(size), validity_(std::move(validity)) {
   switch (type) {
     case AttrType::kInt:
-      col.ints_.assign(n, 0);
+      ints_.assign(size, 0);
       break;
     case AttrType::kDouble:
-      col.doubles_.assign(n, 0.0);
+      doubles_.assign(size, 0.0);
       break;
     case AttrType::kBool:
-      col.bools_.assign(n, 0);
+      bools_.assign(size, 0);
       break;
     case AttrType::kString:
-      col.codes_.assign(n, 0);
+      codes_.assign(size, 0);
       break;
     case AttrType::kNull:
-      return col;  // all-null column: validity bitmap only
+      break;  // all-null column: validity bitmap only
   }
+}
 
-  std::unordered_map<std::string, uint32_t> dict_index;
+ValueColumn ValueColumn::Build(const std::vector<GenomicRegion>& regions,
+                               size_t attr_index, AttrType type) {
+  const size_t n = regions.size();
+  // A row is null when the region's value vector is short or the slot
+  // holds a NULL (both legal per Dataset::Validate).
+  auto is_null = [&](const GenomicRegion& r) {
+    return attr_index >= r.values.size() || r.values[attr_index].is_null();
+  };
+  size_t nulls = 0;
+  for (const auto& r : regions) nulls += is_null(r) ? 1 : 0;
+  std::vector<uint8_t> validity;
+  if (nulls > 0) {
+    validity.assign((n + 7) / 8, 0);
+    if (type != AttrType::kNull) {
+      for (size_t i = 0; i < n; ++i) {
+        if (!is_null(regions[i])) SetBit(&validity, i);
+      }
+    }
+  }
+  ValueColumn col(type, n, std::move(validity));
+  if (type == AttrType::kNull) return col;
+
+  StringNumbering numbering(type == AttrType::kString ? n - nulls : 0);
   for (size_t i = 0; i < n; ++i) {
     const auto& r = regions[i];
-    if (attr_index >= r.values.size() || r.values[attr_index].is_null()) {
-      continue;
-    }
+    if (is_null(r)) continue;
     const Value& v = r.values[attr_index];
-    if (nulls > 0) SetBit(&col.validity_, i);
     switch (type) {
       case AttrType::kInt:
         col.ints_[i] = v.AsInt();
@@ -89,14 +113,9 @@ ValueColumn ValueColumn::Build(const std::vector<GenomicRegion>& regions,
       case AttrType::kBool:
         col.bools_[i] = v.AsBool() ? 1 : 0;
         break;
-      case AttrType::kString: {
-        const std::string& s = v.AsString();
-        auto [it, inserted] = dict_index.emplace(
-            s, static_cast<uint32_t>(col.dict_.size()));
-        if (inserted) col.dict_.push_back(s);
-        col.codes_[i] = it->second;
+      case AttrType::kString:
+        col.codes_[i] = numbering.Number(v.AsString(), &col.dict_);
         break;
-      }
       case AttrType::kNull:
         break;
     }
@@ -198,6 +217,63 @@ RegionColumns RegionColumns::Build(const std::vector<GenomicRegion>& regions,
   }
   cols.source_ = &regions;
   return cols;
+}
+
+RegionColumns RegionColumns::FromDecoded(std::vector<int64_t> left,
+                                         std::vector<int64_t> right,
+                                         std::vector<uint8_t> strands,
+                                         std::vector<ColumnChunk> chunks,
+                                         std::vector<ValueColumn> attrs) {
+  RegionColumns cols;
+  const size_t n = left.size();
+  cols.size_ = n;
+  bool narrow = true;
+  for (ColumnChunk& c : chunks) {
+    c.max_len = 0;
+    for (size_t i = c.begin; i < c.end; ++i) {
+      assert(left[i] <= right[i]);
+      c.max_len = std::max(c.max_len, right[i] - left[i]);
+      narrow = narrow && right[i] <= std::numeric_limits<int32_t>::max() &&
+               left[i] >= std::numeric_limits<int32_t>::min();
+    }
+  }
+  cols.narrow_ = narrow;
+  if (narrow) {
+    cols.left32_.assign(left.begin(), left.end());
+    cols.right32_.assign(right.begin(), right.end());
+  } else {
+    cols.left64_ = std::move(left);
+    cols.right64_ = std::move(right);
+  }
+  cols.strands_ = std::move(strands);
+  cols.chunks_ = std::move(chunks);
+  cols.attrs_.reserve(attrs.size());
+  cols.attr_types_.reserve(attrs.size());
+  for (ValueColumn& a : attrs) {
+    assert(a.size() == n);
+    cols.attr_types_.push_back(a.type());
+    cols.attrs_.push_back(std::make_shared<const ValueColumn>(std::move(a)));
+  }
+  return cols;
+}
+
+bool RegionColumns::CoordSorted() const {
+  for (size_t c = 0; c < chunks_.size(); ++c) {
+    const ColumnChunk& chunk = chunks_[c];
+    if (c > 0 && chunk.chrom <= chunks_[c - 1].chrom) return false;
+    for (size_t i = chunk.begin + 1; i < chunk.end; ++i) {
+      int64_t l0 = left(i - 1), l1 = left(i);
+      if (l1 != l0) {
+        if (l1 < l0) return false;
+        continue;
+      }
+      int64_t r0 = right(i - 1), r1 = right(i);
+      if (r1 < r0 || (r1 == r0 && strands_[i] < strands_[i - 1])) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 const ValueColumn& RegionColumns::attr(size_t a) const {

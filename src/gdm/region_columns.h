@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gdm/region.h"
@@ -22,6 +23,22 @@ struct ColumnChunk {
   int64_t max_len = 0;
 };
 
+/// \brief First-appearance numbering of strings: the order of a STRING
+/// ValueColumn's dictionary, shared by Build() and the .gdmz decoder so
+/// both number a column alike. Open addressing over indices into the
+/// caller's string list, sized for `max_distinct` strings so it never fills.
+class StringNumbering {
+ public:
+  explicit StringNumbering(size_t max_distinct);
+
+  /// The number of `s`, appending it to `*strings` when new; `*strings`
+  /// must hold exactly the strings numbered so far.
+  uint32_t Number(std::string_view s, std::vector<std::string>* strings);
+
+ private:
+  std::vector<uint32_t> slots_;  // 1 + index into the strings; 0 = empty
+};
+
 /// \brief One schema attribute of a sample, stored as a column.
 ///
 /// Coordinates live in RegionColumns; this carries the variable part. The
@@ -32,6 +49,14 @@ struct ColumnChunk {
 class ValueColumn {
  public:
   ValueColumn() = default;
+
+  /// A column of `size` rows of `type` that a decoder fills in place (the
+  /// .gdmz reader): the payload vector matching `type` is zeroed, and
+  /// `validity` holds one bit per row (bits past `size` zero), empty when
+  /// every row is valid. Once the decoder has written each valid row's
+  /// payload — and, for STRING, the dictionary in first-appearance order —
+  /// the column equals Build() over the rows it denotes.
+  ValueColumn(AttrType type, size_t size, std::vector<uint8_t> validity);
 
   /// Builds the column for attribute `attr_index` over `regions`.
   static ValueColumn Build(const std::vector<GenomicRegion>& regions,
@@ -57,7 +82,16 @@ class ValueColumn {
   const std::vector<uint32_t>& codes() const { return codes_; }
   const std::vector<std::string>& dict() const { return dict_; }
 
+  /// In-place payload access for decoders (see the decoding constructor).
+  std::vector<int64_t>& mutable_ints() { return ints_; }
+  std::vector<double>& mutable_doubles() { return doubles_; }
+  std::vector<uint8_t>& mutable_bools() { return bools_; }
+  std::vector<uint32_t>& mutable_codes() { return codes_; }
+  std::vector<std::string>& mutable_dict() { return dict_; }
+
   uint64_t MemoryBytes() const;
+
+  bool operator==(const ValueColumn& other) const = default;
 
  private:
   AttrType type_ = AttrType::kNull;
@@ -81,10 +115,12 @@ class ValueColumn {
 /// human genome's do; coordinates >= 2^31 escape to int64) — with strand as
 /// one dictionary byte per row and each schema attribute as a ValueColumn.
 ///
-/// Built in one pass over a coordinate-sorted region list and kept beside
-/// the rows it describes (RegionStore::columns()). Its chunk directory
-/// (chunks(), FindChunk(), MaxLen(), LowerBoundLeft()) is the sample's
-/// per-chromosome index.
+/// Either built in one pass over a coordinate-sorted region list and kept
+/// beside the rows it describes (RegionStore::columns()), or decoded
+/// straight from a .gdmz blob (FromDecoded()), when they are the sample's
+/// only form and the rows are built from them on demand. Its chunk
+/// directory (chunks(), FindChunk(), MaxLen(), LowerBoundLeft()) is the
+/// sample's per-chromosome index.
 class RegionColumns {
  public:
   RegionColumns() = default;
@@ -92,6 +128,24 @@ class RegionColumns {
   /// Builds columns over `regions`, which must be coordinate-sorted.
   static RegionColumns Build(const std::vector<GenomicRegion>& regions,
                              const RegionSchema& schema);
+
+  /// Columns over coordinates and attributes decoded elsewhere (the .gdmz
+  /// reader). `chunks` are consecutive and cover every row; their
+  /// `max_len` is recomputed here, not trusted. Coordinates are narrowed
+  /// to int32 when every value fits (Build's rule); `attrs` holds one
+  /// column of left.size() rows per schema attribute. Every region must
+  /// have left <= right. The result equals Build() over ToRegions() when
+  /// CoordSorted() holds.
+  static RegionColumns FromDecoded(std::vector<int64_t> left,
+                                   std::vector<int64_t> right,
+                                   std::vector<uint8_t> strands,
+                                   std::vector<ColumnChunk> chunks,
+                                   std::vector<ValueColumn> attrs);
+
+  /// True when the rows are in coordinate order with one chunk per
+  /// chromosome: chunks ascend by chromosome id and (left, right, strand)
+  /// never decreases inside a chunk — the order Build() requires.
+  bool CoordSorted() const;
 
   size_t size() const { return size_; }
 
@@ -132,8 +186,8 @@ class RegionColumns {
   /// lazy because most queries touch a fraction of the schema (a MAP over
   /// one aggregate input never pays for dictionary-interning an unrelated
   /// STRING column); the coordinate pass in Build() stays cheap and each
-  /// ValueColumn materializes only when a consumer asks for it. First
-  /// accesses may race — like the Sample caches, each slot is published
+  /// ValueColumn materializes only when a consumer asks for it (decoded
+  /// columns arrive with every attribute built). First accesses may race — like the Sample caches, each slot is published
   /// with a compare-and-swap and the loser adopts the winner's column.
   const ValueColumn& attr(size_t a) const;
 
@@ -143,7 +197,7 @@ class RegionColumns {
     return std::atomic_load(&attrs_[a]) != nullptr;
   }
 
-  /// Materializes the row form (used by the .gdmz reader).
+  /// Materializes the row form (RegionStore::rows() of a decoded sample).
   std::vector<GenomicRegion> ToRegions() const;
 
   /// Resident bytes of the columnar form (vectors + dictionaries).
@@ -157,13 +211,12 @@ class RegionColumns {
   std::vector<uint8_t> strands_;
   std::vector<ColumnChunk> chunks_;  // ordered by chrom (input is sorted)
   /// One lazily published slot per schema attribute; see attr(). The source
-  /// region vector outlives the columns for every construction path (a
-  /// RegionStore drops its columns before its rows change).
+  /// region vector outlives the columns built over it (a RegionStore drops
+  /// its columns before its rows change); decoded columns fill every slot
+  /// up front and have no source.
   mutable std::vector<std::shared_ptr<const ValueColumn>> attrs_;
   std::vector<AttrType> attr_types_;
   const std::vector<GenomicRegion>* source_ = nullptr;
-
-  friend class RegionColumnsBuilder;
 };
 
 }  // namespace gdms::gdm

@@ -65,26 +65,75 @@ const RegionColumns& EmptyColumns(const RegionSchema& schema) {
   return *slot;
 }
 
+/// Resident bytes of `rows`: region structs, Value payload vectors and the
+/// string heap.
+uint64_t WalkRowBytes(const RegionStore::Rows& rows) {
+  uint64_t total = rows.capacity() * sizeof(GenomicRegion);
+  for (const auto& r : rows) {
+    total += r.values.capacity() * sizeof(Value);
+    for (const auto& v : r.values) {
+      // Strings beyond the SSO buffer own a heap block.
+      if (v.is_string() && v.AsString().size() > 15) {
+        total += v.AsString().capacity();
+      }
+    }
+  }
+  return total;
+}
+
 }  // namespace
 
-/// The shared payload: the rows and the facts derived from them. Layouts
-/// are owned through atomic raw pointers so the build race is a plain
-/// compare-exchange and checking an unbuilt slot costs one load.
+/// The shared payload: the primary form (rows, or decoded columns) and the
+/// facts derived from it. Derived layouts are owned through atomic raw
+/// pointers so the build race is a plain compare-exchange and checking an
+/// unbuilt slot costs one load.
 struct RegionStore::Storage {
   static constexpr uint64_t kUnknownBytes = ~uint64_t{0};
 
+  /// Row-primary: the rows themselves. Unused while column_primary.
   Rows rows;
-  std::atomic<uint32_t> refs{1};
+  /// Column-primary: the rows built from the columns by rows().
+  std::atomic<const Rows*> built_rows{nullptr};
+  /// Row-primary: the columns built by columns(). Column-primary: the
+  /// decoded columns, set at construction and never dropped.
   std::atomic<const RegionColumns*> columns{nullptr};
+  std::atomic<uint32_t> refs{1};
+  /// Resident bytes of the rows (row-primary rows, or built_rows).
   std::atomic<uint64_t> row_bytes{kUnknownBytes};
+  /// Changes only under exclusive ownership (mutable_rows()).
+  bool column_primary = false;
 
   explicit Storage(Rows r) : rows(std::move(r)) {}
-  ~Storage() { DropDerived(); }
+  explicit Storage(RegionColumns cols)
+      : columns(new RegionColumns(std::move(cols))), column_primary(true) {}
+  ~Storage() {
+    delete built_rows.load(std::memory_order_relaxed);
+    delete columns.load(std::memory_order_relaxed);
+  }
   Storage(const Storage&) = delete;
   Storage& operator=(const Storage&) = delete;
 
-  /// Only called by the exclusive holder, so no reader can hold a layout.
-  void DropDerived() {
+  const RegionColumns& primary_columns() const {
+    return *columns.load(std::memory_order_acquire);
+  }
+
+  /// A copy of the rows for a new exclusive storage (shared case of
+  /// mutable_rows()); never publishes anything here.
+  Rows CopyRows() const {
+    if (!column_primary) return rows;
+    const Rows* built = built_rows.load(std::memory_order_acquire);
+    return built != nullptr ? *built : primary_columns().ToRegions();
+  }
+
+  /// Makes an exclusively held storage row-primary with no derived facts,
+  /// so its rows can change. Only called by the exclusive holder, so no
+  /// reader can hold a layout.
+  void MakeRowsMutable() {
+    if (column_primary) {
+      rows = CopyRows();
+      delete built_rows.exchange(nullptr, std::memory_order_relaxed);
+      column_primary = false;
+    }
     delete columns.exchange(nullptr, std::memory_order_relaxed);
     row_bytes.store(kUnknownBytes, std::memory_order_relaxed);
   }
@@ -98,6 +147,9 @@ struct RegionStore::Storage {
 
 RegionStore::RegionStore(Rows rows) : storage_(new Storage(std::move(rows))) {}
 
+RegionStore::RegionStore(RegionColumns columns)
+    : storage_(new Storage(std::move(columns))) {}
+
 RegionStore::RegionStore(const RegionStore& other) : storage_(other.storage_) {
   if (storage_ != nullptr) {
     storage_->refs.fetch_add(1, std::memory_order_relaxed);
@@ -107,7 +159,23 @@ RegionStore::RegionStore(const RegionStore& other) : storage_(other.storage_) {
 RegionStore::~RegionStore() { Storage::Release(storage_); }
 
 const RegionStore::Rows& RegionStore::rows() const {
-  return storage_ != nullptr ? storage_->rows : EmptyRows();
+  if (storage_ == nullptr) return EmptyRows();
+  const Storage& s = *storage_;
+  if (!s.column_primary) return s.rows;
+  return *BuildOnce(&storage_->built_rows,
+                    [&] { return s.primary_columns().ToRegions(); })
+              .first;
+}
+
+size_t RegionStore::size() const {
+  if (storage_ == nullptr) return 0;
+  return storage_->column_primary ? storage_->primary_columns().size()
+                                  : storage_->rows.size();
+}
+
+bool RegionStore::rows_built() const {
+  return storage_ == nullptr || !storage_->column_primary ||
+         storage_->built_rows.load(std::memory_order_acquire) != nullptr;
 }
 
 RegionStore::Rows& RegionStore::mutable_rows() {
@@ -116,12 +184,12 @@ RegionStore::Rows& RegionStore::mutable_rows() {
   } else if (storage_->refs.load(std::memory_order_acquire) != 1) {
     // Shared: copy the rows into a storage of our own; the derived facts
     // stay with the other holders.
-    Storage* own = new Storage(storage_->rows);
+    Storage* own = new Storage(storage_->CopyRows());
     Storage::Release(std::exchange(storage_, own));
   } else {
     // Exclusive: the acquire load above ordered us after every former
-    // holder's release, so no one else can be reading these rows.
-    storage_->DropDerived();
+    // holder's release, so no one else can be reading this storage.
+    storage_->MakeRowsMutable();
   }
   return storage_->rows;
 }
@@ -129,6 +197,7 @@ RegionStore::Rows& RegionStore::mutable_rows() {
 const RegionColumns& RegionStore::columns(const RegionSchema& schema) const {
   if (storage_ == nullptr) return EmptyColumns(schema);
   const Storage& s = *storage_;
+  if (s.column_primary) return s.primary_columns();
   auto [cols, built] = BuildOnce(
       &storage_->columns, [&] { return RegionColumns::Build(s.rows, schema); });
   if (built) ColumnarBuiltCounter()->Add(cols->MemoryBytes());
@@ -136,13 +205,13 @@ const RegionColumns& RegionStore::columns(const RegionSchema& schema) const {
 }
 
 uint64_t RegionStore::ColumnarCacheBytes() const {
-  if (storage_ == nullptr) return 0;
+  if (storage_ == nullptr || storage_->column_primary) return 0;
   const RegionColumns* cols = storage_->columns.load(std::memory_order_acquire);
   return cols != nullptr ? cols->MemoryBytes() : 0;
 }
 
 uint64_t RegionStore::EvictColumns() const {
-  if (storage_ == nullptr) return 0;
+  if (storage_ == nullptr || storage_->column_primary) return 0;
   std::unique_ptr<const RegionColumns> cols(
       storage_->columns.exchange(nullptr, std::memory_order_acq_rel));
   return cols != nullptr ? cols->MemoryBytes() : 0;
@@ -150,29 +219,28 @@ uint64_t RegionStore::EvictColumns() const {
 
 uint64_t RegionStore::RowBytes() const {
   if (storage_ == nullptr) return 0;
-  uint64_t cached = storage_->row_bytes.load(std::memory_order_relaxed);
-  if (cached != Storage::kUnknownBytes) return cached;
-  const Rows& in = storage_->rows;
-  uint64_t total = in.capacity() * sizeof(GenomicRegion);
-  for (const auto& r : in) {
-    total += r.values.capacity() * sizeof(Value);
-    for (const auto& v : r.values) {
-      // Strings beyond the SSO buffer own a heap block.
-      if (v.is_string() && v.AsString().size() > 15) {
-        total += v.AsString().capacity();
-      }
-    }
+  Storage& s = *storage_;
+  const Rows* rows = &s.rows;
+  uint64_t total = 0;
+  if (s.column_primary) {
+    total = s.primary_columns().MemoryBytes();
+    rows = s.built_rows.load(std::memory_order_acquire);
+    if (rows == nullptr) return total;
   }
-  // Concurrent first callers compute the same value; any store wins.
-  storage_->row_bytes.store(total, std::memory_order_relaxed);
-  return total;
+  uint64_t cached = s.row_bytes.load(std::memory_order_relaxed);
+  if (cached == Storage::kUnknownBytes) {
+    // Concurrent first callers compute the same value; any store wins.
+    cached = WalkRowBytes(*rows);
+    s.row_bytes.store(cached, std::memory_order_relaxed);
+  }
+  return total + cached;
 }
 
 RegionStore RegionStore::Filtered(const std::vector<char>& keep) const {
-  const Rows& in = rows();
   size_t kept = 0;
   for (char k : keep) kept += k != 0 ? 1 : 0;
-  if (kept == in.size()) return *this;
+  if (kept == size()) return *this;
+  const Rows& in = rows();
   Rows out;
   out.reserve(kept);
   for (size_t i = 0; i < in.size(); ++i) {

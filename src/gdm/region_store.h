@@ -18,6 +18,11 @@ namespace gdms::gdm {
 /// directory, resident-byte estimate), each computed at most once per
 /// storage.
 ///
+/// A store is row-primary (built from rows; columns() derives the columns)
+/// or column-primary (built from decoded columns, the .gdmz reader's form;
+/// rows() derives the rows once, on first use). Columnar consumers — the
+/// engine's MAP — never make a column-primary store build its rows.
+///
 /// Copying a RegionStore copies a pointer. Operators that pass a sample's
 /// regions through unchanged (metadata-only SELECT, SEMIJOIN, EXTEND,
 /// ORDER, MATERIALIZE, DIFFERENCE without negatives, ...) therefore share
@@ -46,6 +51,10 @@ class RegionStore {
   RegionStore(Rows rows);  // NOLINT(google-explicit-constructor)
   RegionStore(std::initializer_list<GenomicRegion> rows)
       : RegionStore(Rows(rows)) {}
+  /// A column-primary store: `columns` (fully decoded, every attribute
+  /// built — see RegionColumns::FromDecoded — and CoordSorted()) are the
+  /// regions; rows() builds the row form from them on first use.
+  explicit RegionStore(RegionColumns columns);
 
   RegionStore(const RegionStore& other);
   RegionStore(RegionStore&& other) noexcept
@@ -58,13 +67,16 @@ class RegionStore {
 
   // ---- Read-only view: never copies, never drops a derived fact.
 
+  /// The rows. On a column-primary store the first call builds them from
+  /// the columns; concurrent first callers race benignly like columns().
   const Rows& rows() const;
   /// Lets a sample's regions bind to `const std::vector<GenomicRegion>&`
   /// parameters (the interval kernels, codecs and writers).
   operator const Rows&() const { return rows(); }  // NOLINT
 
-  size_t size() const { return rows().size(); }
-  bool empty() const { return rows().empty(); }
+  /// Number of regions; never builds rows.
+  size_t size() const;
+  bool empty() const { return size() == 0; }
   size_t capacity() const { return rows().capacity(); }
   const GenomicRegion& operator[](size_t i) const { return rows()[i]; }
   const_iterator begin() const { return rows().begin(); }
@@ -72,17 +84,26 @@ class RegionStore {
 
   /// The columnar layout over the rows, built against `schema` on first
   /// use. Concurrent first callers race benignly: one build is published,
-  /// the others are dropped, and every caller sees the published one.
+  /// the others are dropped, and every caller sees the published one. A
+  /// column-primary store returns its own columns (their schema is the
+  /// one they were decoded with).
   const RegionColumns& columns(const RegionSchema& schema) const;
 
-  /// Resident bytes of the built columnar layout (0 when not built).
+  /// False only on a column-primary store whose rows nobody has asked for
+  /// yet (accounting and test hook; never builds anything).
+  bool rows_built() const;
+
+  /// Resident bytes of the built columnar layout when it is a reclaimable
+  /// cache beside the rows (0 when not built, and always 0 on a
+  /// column-primary store, whose columns are not a cache).
   uint64_t ColumnarCacheBytes() const;
 
   /// Drops only the columnar layout — for every holder of this storage —
   /// returning the bytes freed; the next columns() call rebuilds identical
-  /// columns from the untouched rows. The resource shedder calls this with
-  /// no query in flight; it must not race readers holding a columns()
-  /// reference.
+  /// columns from the untouched rows. Returns 0 and drops nothing on a
+  /// column-primary store, which holds the only copy of its columns. The
+  /// resource shedder calls this with no query in flight; it must not race
+  /// readers holding a columns() reference.
   uint64_t EvictColumns() const;
 
   /// Identity of the underlying storage: two stores with the same non-null
@@ -90,9 +111,11 @@ class RegionStore {
   /// stores have none.
   const void* storage_id() const { return storage_; }
 
-  /// Resident bytes of the rows: region structs, Value payload vectors and
-  /// their string heap (derived layouts excluded). Computed once per
-  /// storage, so charging a shared store never re-walks its rows.
+  /// Resident bytes of the primary storage: on a row-primary store the
+  /// rows' region structs, Value payload vectors and string heap (derived
+  /// layouts excluded); on a column-primary store its columns, plus the
+  /// rows once built. The row walk runs once per storage, so charging a
+  /// shared store never re-walks its rows.
   uint64_t RowBytes() const;
 
   /// The rows whose `keep` flag (one per row) is non-zero, in order. When
@@ -102,6 +125,8 @@ class RegionStore {
 
   // ---- Mutation: each call makes the storage exclusive first.
 
+  /// The rows, exclusively owned. A column-primary store materializes its
+  /// rows and drops its columns, becoming row-primary.
   Rows& mutable_rows();
   GenomicRegion& operator[](size_t i) { return mutable_rows()[i]; }
   void push_back(GenomicRegion region) {

@@ -1,6 +1,7 @@
 #include "io/gdmz.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -31,7 +32,6 @@ using gdm::GenomicRegion;
 using gdm::RegionColumns;
 using gdm::Sample;
 using gdm::Strand;
-using gdm::Value;
 
 // ---------------------------------------------------------------------------
 // Byte-level primitives
@@ -298,21 +298,41 @@ void PutIntStreamBody(ByteWriter* w, const std::vector<uint64_t>& vals) {
   } else if (packed_sz < varint_sz) {
     w->PutByte(kIntStreamPacked);
     w->PutByte(static_cast<uint8_t>(width));
-    std::vector<uint8_t> bytes((vals.size() * static_cast<size_t>(width) + 7) / 8,
-                               0);
-    size_t bit = 0;
+    // LSB-first through a 64-bit window, mirroring the reader: `filled`
+    // low bits of `window` are pending, and every full window is written
+    // as one little-endian word.
+    uint64_t window = 0;
+    int filled = 0;
     for (uint64_t v : vals) {
-      for (int b = 0; b < width; ++b, ++bit) {
-        if ((v >> b) & 1) {
-          bytes[bit >> 3] |= static_cast<uint8_t>(1u << (bit & 7));
-        }
+      window |= v << filled;
+      filled += width;
+      if (filled >= 64) {
+        w->PutFixed64(window);
+        filled -= 64;
+        window = filled == 0 ? 0 : v >> (width - filled);
       }
     }
-    w->PutRaw(bytes.data(), bytes.size());
+    for (; filled > 0; filled -= 8, window >>= 8) {
+      w->PutByte(static_cast<uint8_t>(window));
+    }
   } else {
     w->PutByte(kIntStreamVarint);
     for (uint64_t v : vals) w->PutVarint(v);
   }
+}
+
+/// Little-endian load of the `n` bytes at `p` (at most 8 are read).
+uint64_t LoadLE64(const uint8_t* p, size_t n) {
+  uint64_t v = 0;
+  if (n >= 8) {
+    std::memcpy(&v, p, 8);
+    if constexpr (std::endian::native == std::endian::big) {
+      v = __builtin_bswap64(v);
+    }
+    return v;
+  }
+  for (size_t b = 0; b < n; ++b) v |= static_cast<uint64_t>(p[b]) << (8 * b);
+  return v;
 }
 
 /// Reads a packed integer stream of exactly `count` values; the caller
@@ -322,9 +342,10 @@ bool GetIntStreamBody(ByteReader* r, size_t count,
   uint8_t mode = r->GetByte();
   if (!r->ok()) return false;
   out->clear();
-  out->reserve(count);
   switch (mode) {
     case kIntStreamVarint:
+      if (count > r->remaining()) return false;  // >= 1 byte per value
+      out->reserve(count);
       for (size_t i = 0; i < count; ++i) {
         uint64_t v = r->GetVarint();
         if (!r->ok()) return false;
@@ -341,19 +362,31 @@ bool GetIntStreamBody(ByteReader* r, size_t count,
       return true;
     case kIntStreamPacked: {
       uint8_t width = r->GetByte();
-      if (!r->ok() || width == 0 || width > 64) return false;
-      size_t need = (count * static_cast<size_t>(width) + 7) / 8;
+      if (!r->ok() || width == 0 || width > 64 ||
+          count > (SIZE_MAX - 7) / width) {
+        return false;
+      }
+      const size_t need = (count * width + 7) / 8;
       std::string_view bytes = r->GetSpan(need);
       if (!r->ok()) return false;
+      // Word at a time: value i starts at bit i*width; a 64-bit window
+      // loaded at its first byte holds it whole unless it straddles into
+      // a ninth byte (width > 57), which is then inside `need` too. The
+      // window itself never reads past `need`.
+      const auto* p = reinterpret_cast<const uint8_t*>(bytes.data());
+      const uint64_t mask = width == 64 ? ~uint64_t{0}
+                                        : (uint64_t{1} << width) - 1;
+      out->resize(count);
+      uint64_t* dst = out->data();
       size_t bit = 0;
-      for (size_t i = 0; i < count; ++i) {
-        uint64_t v = 0;
-        for (int b = 0; b < width; ++b, ++bit) {
-          if ((static_cast<uint8_t>(bytes[bit >> 3]) >> (bit & 7)) & 1) {
-            v |= uint64_t{1} << b;
-          }
+      for (size_t i = 0; i < count; ++i, bit += width) {
+        const size_t byte = bit >> 3;
+        const unsigned shift = bit & 7;
+        uint64_t v = LoadLE64(p + byte, need - byte) >> shift;
+        if (shift + width > 64) {
+          v |= static_cast<uint64_t>(p[byte + 8]) << (64 - shift);
         }
-        out->push_back(v);
+        dst[i] = v & mask;
       }
       return true;
     }
@@ -578,212 +611,240 @@ void EncodeSampleBlob(ByteWriter* w, const Sample& sample,
 // Column decoders
 // ---------------------------------------------------------------------------
 
-struct DecodedColumn {
-  AttrType type = AttrType::kNull;
-  std::vector<Value> values;  // one per row (NULL included)
-};
-
-bool DecodeValueColumn(ByteReader* r, size_t n, AttrType schema_type,
-                       DecodedColumn* out) {
-  out->type = static_cast<AttrType>(r->GetByte());
+/// Reads a length-prefixed sub-stream (the counterpart of PutStream).
+bool GetStream(ByteReader* r, std::string_view* payload) {
+  uint64_t len = r->GetVarint();
   if (!r->ok()) return false;
-  if (out->type != AttrType::kNull && out->type != schema_type) return false;
+  *payload = r->GetSpan(static_cast<size_t>(len));
+  return r->ok();
+}
+
+/// Reads a sub-stream holding exactly one integer stream of `count` values.
+bool GetIntStream(ByteReader* r, size_t count, std::vector<uint64_t>* out) {
+  std::string_view payload;
+  if (!GetStream(r, &payload)) return false;
+  ByteReader s(payload.data(), payload.size());
+  return GetIntStreamBody(&s, count, out) && s.remaining() == 0;
+}
+
+/// Calls `fn(row, k)` for the k-th valid row of `col`, in row order, while
+/// it returns true; false when a call failed.
+template <typename Fn>
+bool ForEachValid(const gdm::ValueColumn& col, Fn&& fn) {
+  const size_t n = col.size();
+  if (col.all_valid()) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!fn(i, i)) return false;
+    }
+    return true;
+  }
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (col.IsValid(i) && !fn(i, k++)) return false;
+  }
+  return true;
+}
+
+/// Decodes one attribute column of `n` rows straight into its typed form.
+/// The result equals ValueColumn::Build over the rows the column denotes:
+/// trailing validity bits are cleared, an all-set bitmap is elided, and a
+/// STRING dictionary is renumbered into first-appearance order with
+/// duplicate entries merged.
+bool DecodeValueColumn(ByteReader* r, size_t n, AttrType schema_type,
+                       gdm::ValueColumn* out) {
+  auto file_type = static_cast<AttrType>(r->GetByte());
+  if (!r->ok()) return false;
+  if (file_type != AttrType::kNull && file_type != schema_type) return false;
   uint8_t validity_mode = r->GetByte();
   if (!r->ok()) return false;
-  out->values.assign(n, Value::Null());
-  if (out->type == AttrType::kNull || validity_mode == kValidityAllNull) {
-    return validity_mode == kValidityAllNull || out->type == AttrType::kNull;
+  if (file_type == AttrType::kNull || validity_mode == kValidityAllNull) {
+    *out = gdm::ValueColumn(schema_type, n,
+                            std::vector<uint8_t>((n + 7) / 8, 0));
+    return true;
   }
-  std::vector<char> valid(n, 1);
+  std::vector<uint8_t> validity;
   size_t non_null = n;
   if (validity_mode == kValidityBitmap) {
-    uint64_t len = r->GetVarint();
-    std::string_view bits = r->GetSpan(static_cast<size_t>(len));
-    if (!r->ok() || bits.size() != (n + 7) / 8) return false;
+    std::string_view bits;
+    if (!GetStream(r, &bits) || bits.size() != (n + 7) / 8) return false;
+    validity.assign(bits.begin(), bits.end());
+    if (n % 8 != 0) validity.back() &= static_cast<uint8_t>((1u << (n % 8)) - 1);
     non_null = 0;
-    for (size_t i = 0; i < n; ++i) {
-      valid[i] = (static_cast<uint8_t>(bits[i >> 3]) >> (i & 7)) & 1;
-      non_null += valid[i];
-    }
+    for (uint8_t b : validity) non_null += static_cast<size_t>(std::popcount(b));
+    if (non_null == n) validity.clear();
   } else if (validity_mode != kValidityAllValid) {
     return false;
   }
-  switch (out->type) {
+  gdm::ValueColumn col(schema_type, n, std::move(validity));
+  bool ok = false;
+  switch (schema_type) {
     case AttrType::kInt: {
-      uint64_t len = r->GetVarint();
-      std::string_view payload = r->GetSpan(static_cast<size_t>(len));
-      if (!r->ok()) return false;
-      ByteReader s(payload.data(), payload.size());
       std::vector<uint64_t> vals;
-      if (!GetIntStreamBody(&s, non_null, &vals) || s.remaining() != 0) {
-        return false;
-      }
-      size_t k = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (!valid[i]) continue;
-        out->values[i] = Value(ZigzagDecode(vals[k++]));
-      }
-      return true;
+      if (!GetIntStream(r, non_null, &vals)) return false;
+      int64_t* ints = col.mutable_ints().data();
+      ok = ForEachValid(col, [&](size_t i, size_t k) {
+        ints[i] = ZigzagDecode(vals[k]);
+        return true;
+      });
+      break;
     }
     case AttrType::kBool: {
-      uint64_t len = r->GetVarint();
-      std::string_view payload = r->GetSpan(static_cast<size_t>(len));
-      if (!r->ok() || payload.size() != (non_null + 7) / 8) return false;
-      size_t k = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (!valid[i]) continue;
-        bool b = (static_cast<uint8_t>(payload[k >> 3]) >> (k & 7)) & 1;
-        out->values[i] = Value(b);
-        ++k;
+      std::string_view payload;
+      if (!GetStream(r, &payload) || payload.size() != (non_null + 7) / 8) {
+        return false;
       }
-      return true;
+      uint8_t* bools = col.mutable_bools().data();
+      ok = ForEachValid(col, [&](size_t i, size_t k) {
+        bools[i] = (static_cast<uint8_t>(payload[k >> 3]) >> (k & 7)) & 1;
+        return true;
+      });
+      break;
     }
     case AttrType::kDouble: {
       uint8_t enc = r->GetByte();
       if (!r->ok() || enc != kDoubleDecimal) return false;
-      uint64_t elen = r->GetVarint();
-      std::string_view epayload = r->GetSpan(static_cast<size_t>(elen));
-      if (!r->ok()) return false;
-      std::vector<uint64_t> exps;
-      {
-        ByteReader s(epayload.data(), epayload.size());
-        if (!GetIntStreamBody(&s, non_null, &exps) || s.remaining() != 0) {
-          return false;
-        }
+      std::vector<uint64_t> exps, mants;
+      std::string_view raw;
+      if (!GetIntStream(r, non_null, &exps) ||
+          !GetIntStream(r, non_null, &mants) || !GetStream(r, &raw)) {
+        return false;
       }
-      uint64_t mlen = r->GetVarint();
-      std::string_view mpayload = r->GetSpan(static_cast<size_t>(mlen));
-      if (!r->ok()) return false;
-      std::vector<uint64_t> mants;
-      {
-        ByteReader s(mpayload.data(), mpayload.size());
-        if (!GetIntStreamBody(&s, non_null, &mants) || s.remaining() != 0) {
-          return false;
-        }
-      }
-      uint64_t rlen = r->GetVarint();
-      std::string_view rpayload = r->GetSpan(static_cast<size_t>(rlen));
-      if (!r->ok()) return false;
-      ByteReader rs(rpayload.data(), rpayload.size());
-      size_t k = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (!valid[i]) continue;
+      ByteReader rs(raw.data(), raw.size());
+      double* doubles = col.mutable_doubles().data();
+      ok = ForEachValid(col, [&](size_t i, size_t k) {
         int64_t e = ZigzagDecode(exps[k]);
-        int64_t m = ZigzagDecode(mants[k]);
-        double v;
         if (e == kRawEscapeExp) {
           uint64_t bits = rs.GetFixed64();
-          if (!rs.ok()) return false;
-          std::memcpy(&v, &bits, sizeof(v));
-        } else {
-          if (std::llabs(m) > 999999999999LL || std::llabs(e) > 400) {
-            return false;  // out of the encoder's envelope: corrupt
-          }
-          v = DecimalJoin(m, e);
+          std::memcpy(&doubles[i], &bits, sizeof(bits));
+          return rs.ok();
         }
-        out->values[i] = Value(v);
-        ++k;
-      }
-      return rs.remaining() == 0;
+        int64_t m = ZigzagDecode(mants[k]);
+        constexpr int64_t kMaxMant = 999999999999LL;
+        if (m > kMaxMant || m < -kMaxMant || e > 400 || e < -400) {
+          return false;  // out of the encoder's envelope: corrupt
+        }
+        doubles[i] = DecimalJoin(m, e);
+        return true;
+      });
+      ok = ok && rs.remaining() == 0;
+      break;
     }
     case AttrType::kString: {
       uint8_t enc = r->GetByte();
       if (!r->ok()) return false;
+      std::vector<std::string>& dict = col.mutable_dict();
+      uint32_t* codes = col.mutable_codes().data();
       if (enc == kStringDict) {
         uint64_t distinct = r->GetVarint();
         if (!r->ok() || distinct > non_null) return false;
-        std::vector<std::string> dict;
-        dict.reserve(static_cast<size_t>(distinct));
+        // canon[d]: the number of the file's entry d among the distinct
+        // entry strings, in file order.
+        std::vector<std::string> entries;
+        std::vector<uint32_t> canon;
+        canon.reserve(static_cast<size_t>(distinct));
+        gdm::StringNumbering numbering(static_cast<size_t>(distinct));
         for (uint64_t d = 0; d < distinct; ++d) {
-          dict.push_back(r->GetString());
+          std::string entry = r->GetString();
           if (!r->ok()) return false;
+          canon.push_back(numbering.Number(entry, &entries));
         }
-        uint64_t len = r->GetVarint();
-        std::string_view payload = r->GetSpan(static_cast<size_t>(len));
-        if (!r->ok()) return false;
-        ByteReader s(payload.data(), payload.size());
-        std::vector<uint64_t> codes;
-        if (!GetIntStreamBody(&s, non_null, &codes) || s.remaining() != 0) {
-          return false;
-        }
-        size_t k = 0;
-        for (size_t i = 0; i < n; ++i) {
-          if (!valid[i]) continue;
-          uint64_t code = codes[k++];
-          if (code >= dict.size()) return false;
-          out->values[i] = Value(dict[static_cast<size_t>(code)]);
-        }
-        return true;
+        std::vector<uint64_t> file_codes;
+        if (!GetIntStream(r, non_null, &file_codes)) return false;
+        constexpr uint32_t kUnseen = ~uint32_t{0};
+        std::vector<uint32_t> code_of(entries.size(), kUnseen);
+        ok = ForEachValid(col, [&](size_t i, size_t k) {
+          if (file_codes[k] >= canon.size()) return false;
+          uint32_t c = canon[static_cast<size_t>(file_codes[k])];
+          if (code_of[c] == kUnseen) {
+            code_of[c] = static_cast<uint32_t>(dict.size());
+            dict.push_back(std::move(entries[c]));
+          }
+          codes[i] = code_of[c];
+          return true;
+        });
+        break;
       }
       if (enc != kStringFront) return false;
-      uint64_t len = r->GetVarint();
-      std::string_view payload = r->GetSpan(static_cast<size_t>(len));
-      if (!r->ok()) return false;
+      std::string_view payload;
+      if (!GetStream(r, &payload)) return false;
       ByteReader s(payload.data(), payload.size());
-      std::string prev;
-      for (size_t i = 0; i < n; ++i) {
-        if (!valid[i]) continue;
+      gdm::StringNumbering numbering(non_null);
+      // Front coding is chosen for high cardinality, so reserving a slot
+      // per value beats growing the dictionary by doubling; the slack of a
+      // repetitive column is trimmed below.
+      dict.reserve(non_null);
+      std::string cur;
+      ok = ForEachValid(col, [&](size_t i, size_t) {
         uint64_t shared = s.GetVarint();
-        if (!s.ok() || shared > prev.size()) return false;
-        std::string suffix = s.GetString();
+        if (!s.ok() || shared > cur.size()) return false;
+        uint64_t len = s.GetVarint();
+        std::string_view suffix = s.GetSpan(static_cast<size_t>(len));
         if (!s.ok()) return false;
-        std::string cur = prev.substr(0, static_cast<size_t>(shared)) + suffix;
-        out->values[i] = Value(cur);
-        prev = std::move(cur);
-      }
-      return s.remaining() == 0;
+        cur.resize(static_cast<size_t>(shared));
+        cur.append(suffix);
+        codes[i] = numbering.Number(cur, &dict);
+        return true;
+      });
+      ok = ok && s.remaining() == 0;
+      if (dict.size() < dict.capacity()) dict.shrink_to_fit();
+      break;
     }
     case AttrType::kNull:
-      return true;
+      ok = true;  // a NULL-typed attribute's column carries no payload
+      break;
   }
-  return false;
+  if (ok) *out = std::move(col);
+  return ok;
 }
 
+/// Decodes one sample blob straight into region columns. A sample whose
+/// rows come out of coordinate order (e.g. its chromosomes were interned
+/// in a different order in this process than in the writer's) falls back
+/// to rows, stable-sorted so coordinate ties keep their stored order.
 bool DecodeSampleBlob(ByteReader* r, const std::vector<int32_t>& chrom_ids,
                       const gdm::RegionSchema& schema, Sample* sample) {
   uint64_t n64 = r->GetVarint();
-  if (!r->ok() || n64 > (1ULL << 40)) return false;
+  // Every region takes at least one byte of the left-coordinate stream.
+  if (!r->ok() || n64 > r->remaining()) return false;
   const size_t n = static_cast<size_t>(n64);
   uint64_t nchunks = r->GetVarint();
   if (!r->ok() || nchunks > n64 + 1) return false;
-  struct Chunk {
-    int32_t chrom;
-    size_t count;
-  };
-  std::vector<Chunk> chunks;
+  std::vector<gdm::ColumnChunk> chunks;
   chunks.reserve(static_cast<size_t>(nchunks));
-  uint64_t total = 0;
+  size_t total = 0;
   for (uint64_t c = 0; c < nchunks; ++c) {
     uint64_t ct = r->GetVarint();
     uint64_t count = r->GetVarint();
-    (void)r->GetVarint();  // max_len: derivable, stored for future readers
-    if (!r->ok() || ct >= chrom_ids.size() || count == 0) return false;
-    total += count;
-    if (total > n64) return false;
-    chunks.push_back({chrom_ids[static_cast<size_t>(ct)],
-                      static_cast<size_t>(count)});
+    (void)r->GetVarint();  // max_len: recomputed from the coordinates
+    if (!r->ok() || ct >= chrom_ids.size() || count == 0 ||
+        count > n - total) {
+      return false;
+    }
+    chunks.push_back({chrom_ids[static_cast<size_t>(ct)], total,
+                      total + static_cast<size_t>(count), 0});
+    total += static_cast<size_t>(count);
   }
-  if (total != n64) return false;
+  if (total != n) return false;
   uint8_t width = r->GetByte();
   if (!r->ok() || (width != 4 && width != 8)) return false;
 
   std::vector<int64_t> lefts(n), rights(n);
   {
-    uint64_t len = r->GetVarint();
-    std::string_view payload = r->GetSpan(static_cast<size_t>(len));
-    if (!r->ok()) return false;
+    std::string_view payload;
+    if (!GetStream(r, &payload)) return false;
     ByteReader s(payload.data(), payload.size());
-    size_t i = 0;
     for (const auto& c : chunks) {
       int64_t prev = 0;
-      for (size_t k = 0; k < c.count; ++k, ++i) {
+      for (size_t i = c.begin; i < c.end; ++i) {
         int64_t l;
-        if (k == 0) {
+        if (i == c.begin) {
           l = s.GetZigzag();
         } else {
           uint64_t d = s.GetVarint();
-          if (d > (1ULL << 62)) return false;
-          l = prev + static_cast<int64_t>(d);
+          if (d > (1ULL << 62) ||
+              __builtin_add_overflow(prev, static_cast<int64_t>(d), &l)) {
+            return false;
+          }
         }
         if (!s.ok()) return false;
         lefts[i] = l;
@@ -793,14 +854,16 @@ bool DecodeSampleBlob(ByteReader* r, const std::vector<int32_t>& chrom_ids,
     if (s.remaining() != 0) return false;
   }
   {
-    uint64_t len = r->GetVarint();
-    std::string_view payload = r->GetSpan(static_cast<size_t>(len));
-    if (!r->ok()) return false;
+    std::string_view payload;
+    if (!GetStream(r, &payload)) return false;
     ByteReader s(payload.data(), payload.size());
     for (size_t i = 0; i < n; ++i) {
       uint64_t d = s.GetVarint();
-      if (!s.ok() || d > (1ULL << 62)) return false;
-      rights[i] = lefts[i] + static_cast<int64_t>(d);
+      if (!s.ok() || d > (1ULL << 62) ||
+          __builtin_add_overflow(lefts[i], static_cast<int64_t>(d),
+                                 &rights[i])) {
+        return false;
+      }
     }
     if (s.remaining() != 0) return false;
   }
@@ -813,9 +876,8 @@ bool DecodeSampleBlob(ByteReader* r, const std::vector<int32_t>& chrom_ids,
     if (!r->ok() || v > 2) return false;
     std::fill(strands.begin(), strands.end(), v);
   } else if (smode == kStrandPacked) {
-    uint64_t len = r->GetVarint();
-    std::string_view payload = r->GetSpan(static_cast<size_t>(len));
-    if (!r->ok() || payload.size() != (n + 3) / 4) return false;
+    std::string_view payload;
+    if (!GetStream(r, &payload) || payload.size() != (n + 3) / 4) return false;
     for (size_t i = 0; i < n; ++i) {
       uint8_t v =
           (static_cast<uint8_t>(payload[i >> 2]) >> ((i & 3) * 2)) & 3;
@@ -826,35 +888,47 @@ bool DecodeSampleBlob(ByteReader* r, const std::vector<int32_t>& chrom_ids,
     return false;
   }
 
-  std::vector<DecodedColumn> columns(schema.size());
+  std::vector<gdm::ValueColumn> attrs(schema.size());
   for (size_t a = 0; a < schema.size(); ++a) {
-    if (!DecodeValueColumn(r, n, schema.attr(a).type, &columns[a])) {
+    if (!DecodeValueColumn(r, n, schema.attr(a).type, &attrs[a])) {
       return false;
     }
   }
 
-  std::vector<GenomicRegion>& rows = sample->regions.mutable_rows();
-  rows.resize(n);
-  size_t i = 0;
-  for (const auto& c : chunks) {
-    for (size_t k = 0; k < c.count; ++k, ++i) {
-      GenomicRegion& reg = rows[i];
-      reg.chrom = c.chrom;
-      reg.left = lefts[i];
-      reg.right = rights[i];
-      reg.strand = static_cast<Strand>(strands[i]);
-      if (!columns.empty()) {
-        reg.values.reserve(columns.size());
-        for (auto& col : columns) {
-          reg.values.push_back(std::move(col.values[i]));
-        }
-      }
-    }
+  RegionColumns cols = RegionColumns::FromDecoded(
+      std::move(lefts), std::move(rights), std::move(strands),
+      std::move(chunks), std::move(attrs));
+  if (cols.CoordSorted()) {
+    sample->regions = gdm::RegionStore(std::move(cols));
+    return true;
   }
+  std::vector<GenomicRegion> rows = cols.ToRegions();
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const GenomicRegion& x, const GenomicRegion& y) {
+                     return x.CoordLess(y);
+                   });
+  sample->regions = std::move(rows);
   return true;
 }
 
 }  // namespace
+
+std::string EncodeIntStream(const std::vector<uint64_t>& values) {
+  std::string out;
+  ByteWriter w(&out);
+  PutIntStreamBody(&w, values);
+  return out;
+}
+
+Result<std::vector<uint64_t>> DecodeIntStream(std::string_view bytes,
+                                              size_t count) {
+  ByteReader r(bytes.data(), bytes.size());
+  std::vector<uint64_t> values;
+  if (!GetIntStreamBody(&r, count, &values) || r.remaining() != 0) {
+    return Status::ParseError(".gdmz integer stream corrupt");
+  }
+  return values;
+}
 
 bool LooksLikeGdmz(std::string_view bytes) {
   return bytes.size() >= sizeof(kGdmzMagic) &&
@@ -882,19 +956,28 @@ Result<uint64_t> GdmzFramedSize(std::string_view bytes) {
 
 std::string WriteGdmzString(const gdm::Dataset& dataset) {
   // Chromosome name table over every chrom id in the dataset, in first-use
-  // order; blobs reference table slots so ids stay process-local.
+  // order; blobs reference table slots so ids stay process-local. A
+  // column-primary sample is sorted, so its chunk order is its row order.
   std::map<int32_t, uint32_t> chrom_table;
   std::vector<int32_t> chrom_ids;
+  auto use_chrom = [&](int32_t chrom) {
+    if (chrom_table.emplace(chrom, static_cast<uint32_t>(chrom_ids.size()))
+            .second) {
+      chrom_ids.push_back(chrom);
+    }
+  };
   for (const auto& s : dataset.samples()) {
-    for (const auto& r : s.regions) {
-      if (chrom_table.emplace(r.chrom, static_cast<uint32_t>(chrom_ids.size()))
-              .second) {
-        chrom_ids.push_back(r.chrom);
+    if (!s.regions.rows_built()) {
+      for (const auto& c : s.columns(dataset.schema()).chunks()) {
+        use_chrom(c.chrom);
       }
+    } else {
+      for (const auto& r : s.regions) use_chrom(r.chrom);
     }
   }
 
-  // Body: one column blob per sample, 64-byte aligned.
+  // Body: one column blob per sample, 64-byte aligned. A column-primary
+  // sample encodes its own columns; rows get temporary columns.
   std::string body;
   ByteWriter body_writer(&body);
   std::vector<std::pair<uint64_t, uint64_t>> blob_spans;  // offset, size
@@ -902,14 +985,20 @@ std::string WriteGdmzString(const gdm::Dataset& dataset) {
   for (const auto& s : dataset.samples()) {
     while ((kGdmzHeaderSize + body.size()) % 64 != 0) body_writer.PutByte(0);
     uint64_t offset = kGdmzHeaderSize + body.size();
-    const std::vector<GenomicRegion>* regions = &s.regions.rows();
-    if (!gdm::RegionsSorted(s.regions)) {
-      scratch = s.regions;
-      gdm::SortRegions(&scratch);
-      regions = &scratch;
+    if (!s.regions.rows_built()) {
+      EncodeSampleBlob(&body_writer, s, s.columns(dataset.schema()),
+                       chrom_table);
+    } else {
+      const std::vector<GenomicRegion>* regions = &s.regions.rows();
+      if (!gdm::RegionsSorted(s.regions)) {
+        scratch = s.regions;
+        gdm::SortRegions(&scratch);
+        regions = &scratch;
+      }
+      EncodeSampleBlob(&body_writer, s,
+                       RegionColumns::Build(*regions, dataset.schema()),
+                       chrom_table);
     }
-    RegionColumns cols = RegionColumns::Build(*regions, dataset.schema());
-    EncodeSampleBlob(&body_writer, s, cols, chrom_table);
     blob_spans.push_back({offset, kGdmzHeaderSize + body.size() - offset});
   }
 
@@ -1062,7 +1151,8 @@ Result<gdm::Dataset> ReadGdmzBytes(std::string_view bytes) {
     ds.AddSample(std::move(sample));
   }
 
-  for (auto& s : *ds.mutable_samples()) s.SortNow();
+  // Checks sample-id uniqueness; the decoded columns already hold the
+  // schema's types and left <= right, so no rows are built here.
   GDMS_RETURN_NOT_OK(ds.Validate());
   return ds;
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "gdm/dataset.h"
@@ -60,12 +61,22 @@ std::string WriteGdmzString(const gdm::Dataset& dataset);
 /// Writes `dataset` to `path`.
 Status WriteGdmz(const gdm::Dataset& dataset, const std::string& path);
 
-/// Parses a dataset from an in-memory .gdmz image. Every read is
-/// bounds-checked; truncated or corrupt input yields ParseError.
+/// Parses a dataset from an in-memory .gdmz image into column-primary
+/// samples (see OpenGdmz). Every read is bounds-checked; truncated or
+/// corrupt input yields ParseError.
 Result<gdm::Dataset> ReadGdmzBytes(std::string_view bytes);
 
 /// Parses from a string (convenience for the protocol layer).
 Result<gdm::Dataset> ReadGdmzString(const std::string& bytes);
+
+/// The integer streams inside column blobs, exposed for tests.
+/// EncodeIntStream writes the smallest of the varint, run-length and
+/// bit-packed (LSB-first, fixed width) layouts behind a mode byte;
+/// DecodeIntStream reads exactly `count` values from a whole stream and
+/// fails with ParseError on a malformed, short or over-long one.
+std::string EncodeIntStream(const std::vector<uint64_t>& values);
+Result<std::vector<uint64_t>> DecodeIntStream(std::string_view bytes,
+                                              size_t count);
 
 /// \brief An mmap'd .gdmz file image (move-only RAII).
 ///
@@ -140,9 +151,12 @@ class MappedGdmz {
 
 /// Opens `path` via mmap (falling back to a buffered read when mapping is
 /// unavailable) and parses it — column payloads decode straight out of the
-/// page cache with no intermediate copy of the file image. Prefetches the
-/// hot prefix (MADV_WILLNEED) and reports the map length as the
-/// gdms_storage_gdmz_open_map_bytes gauge before parsing.
+/// page cache with no intermediate copy of the file image, into each
+/// sample's region columns. The samples are column-primary (see
+/// gdm::RegionStore): columnar consumers such as the engine's MAP read the
+/// decoded columns, and the rows are built only when a row consumer asks
+/// for them. Prefetches the hot prefix (MADV_WILLNEED) and reports the map
+/// length as the gdms_storage_gdmz_open_map_bytes gauge before parsing.
 Result<gdm::Dataset> OpenGdmz(const std::string& path);
 
 }  // namespace gdms::io

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <random>
 #include <thread>
 
@@ -17,6 +18,7 @@
 #include "interval/batch.h"
 #include "interval/sweep.h"
 #include "io/gdm_format.h"
+#include "io/gdmz.h"
 #include "sim/generators.h"
 
 namespace gdms {
@@ -421,6 +423,142 @@ TEST(ColumnarCacheTest, ConcurrentLazyBuildIsSafe) {
       EXPECT_EQ(chunk_counts[t], s.columns(schema).chunks().size());
     }
   }
+}
+
+
+// ------------------------------------------------- column-primary storage
+
+/// True when no sample of `ds` has built its rows.
+bool NoRowsBuilt(const Dataset& ds) {
+  for (const auto& s : ds.samples()) {
+    if (s.regions.rows_built()) return false;
+  }
+  return true;
+}
+
+TEST(ColumnPrimaryStoreTest, PipelinedMapOverOpenedGdmzBuildsNoExpRows) {
+  std::vector<Dataset> sources = SimSources();  // ENCODE, ANNOTATIONS
+  std::string path = ::testing::TempDir() + "columnar_test_stored.gdmz";
+  ASSERT_TRUE(io::WriteGdmz(sources[0], path).ok());
+  const char* gmql =
+      "R = MAP(n AS COUNT, s AS SUM(signal), a AS AVG(score), "
+      "m AS MAX(p_value), c AS COUNT(name)) ANNOTATIONS ENCODE; "
+      "MATERIALIZE R;";
+  auto for_reference = io::OpenGdmz(path);
+  ASSERT_TRUE(for_reference.ok()) << for_reference.status().ToString();
+  std::map<std::string, std::string> reference =
+      RunToText(gmql, {sources[1], for_reference.value()}, nullptr);
+  ASSERT_FALSE(reference.empty());
+
+  auto opened = io::OpenGdmz(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const Dataset& stored = opened.value();
+  ASSERT_TRUE(NoRowsBuilt(stored));
+  engine::EngineOptions opt;
+  opt.threads = 3;
+  opt.backend = engine::BackendKind::kPipelined;
+  engine::ParallelExecutor exec(opt);
+  EXPECT_EQ(RunToText(gmql, {sources[1], stored}, &exec), reference);
+  EXPECT_GT(exec.trace().columnar_tasks.load(), 0u);
+  EXPECT_TRUE(NoRowsBuilt(stored));
+
+  // The decoded columns are the only copy: nothing is evictable, and a
+  // later query is unchanged.
+  Dataset held = stored;
+  EXPECT_EQ(held.ColumnarCacheBytes(), 0u);
+  EXPECT_EQ(held.EvictColumnarCaches(), 0u);
+  for (const auto& s : stored.samples()) {
+    EXPECT_EQ(s.EvictColumns(), 0u);
+    EXPECT_GT(s.regions.RowBytes(), 0u);
+  }
+  EXPECT_EQ(RunToText(gmql, {sources[1], stored}, &exec), reference);
+  EXPECT_TRUE(NoRowsBuilt(stored));
+
+  // The materialized backend encodes row slices, so it builds the rows.
+  opt.backend = engine::BackendKind::kMaterialized;
+  engine::ParallelExecutor materialized(opt);
+  EXPECT_EQ(RunToText(gmql, {sources[1], stored}, &materialized), reference);
+  for (const auto& s : stored.samples()) {
+    EXPECT_TRUE(s.regions.rows_built());
+  }
+  std::remove(path.c_str());
+}
+
+// Concurrent first rows() callers on a column-primary store race benignly:
+// one row vector is published and every caller sees it. Run under
+// `ctest -L tsan` to verify with ThreadSanitizer.
+TEST(ColumnPrimaryStoreTest, ConcurrentFirstRowsCallersSeeOnePublishedVector) {
+  Dataset source = SimSources()[0];
+  std::string blob = io::WriteGdmzString(source);
+  for (int round = 0; round < 3; ++round) {
+    auto decoded = io::ReadGdmzString(blob);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    const Sample& s = decoded.value().sample(0);
+    ASSERT_FALSE(s.regions.rows_built());
+    constexpr int kThreads = 8;
+    std::atomic<int> ready{0};
+    std::vector<const std::vector<GenomicRegion>*> seen(kThreads);
+    std::vector<size_t> sizes(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        // Half also read the columns and the size, which build nothing.
+        if (t % 2 == 0) {
+          sizes[t] = s.columns(source.schema()).size() + s.regions.size();
+        }
+        seen[t] = &s.regions.rows();
+      });
+    }
+    for (auto& w : workers) w.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t], seen[0]);
+      if (t % 2 == 0) {
+        EXPECT_EQ(sizes[t], 2 * seen[0]->size());
+      }
+    }
+    EXPECT_TRUE(s.regions.rows_built());
+    EXPECT_EQ(io::WriteGdmString(decoded.value()),
+              io::WriteGdmString(source));
+  }
+}
+
+TEST(ColumnPrimaryStoreTest, MutationMaterializesRowsAndSparesSharers) {
+  Dataset source = SimSources()[0];
+  auto decoded = io::ReadGdmzString(io::WriteGdmzString(source));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const Sample& stored = decoded.value().sample(0);
+  const RegionColumns& cols = stored.columns(source.schema());
+  const size_t n = stored.regions.size();
+  EXPECT_EQ(stored.regions.RowBytes(), cols.MemoryBytes());
+
+  // A sharer that mutates gets rows of its own; the stored sample keeps
+  // its columns and builds no rows.
+  Sample sharer = stored;
+  sharer.regions.mutable_rows().pop_back();
+  EXPECT_EQ(sharer.regions.size(), n - 1);
+  EXPECT_EQ(stored.regions.size(), n);
+  EXPECT_FALSE(stored.regions.rows_built());
+  EXPECT_EQ(&stored.columns(source.schema()), &cols);
+
+  // Rows built on demand add to the store's footprint.
+  EXPECT_EQ(stored.regions.rows().size(), n);
+  EXPECT_GT(stored.regions.RowBytes(), cols.MemoryBytes());
+
+  // The exclusive holder's mutation turns the store row-primary: its
+  // columns become an evictable cache like any row store's.
+  Sample own = decoded.value().sample(0);
+  decoded.value().mutable_samples()->clear();
+  own.regions.mutable_rows();
+  EXPECT_TRUE(own.regions.rows_built());
+  EXPECT_EQ(own.ColumnarCacheBytes(), 0u);
+  (void)own.columns(source.schema());
+  uint64_t cached = own.ColumnarCacheBytes();
+  EXPECT_GT(cached, 0u);
+  EXPECT_EQ(own.EvictColumns(), cached);
+  EXPECT_EQ(own.regions.size(), n);
 }
 
 }  // namespace

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <random>
 
+#include "common/hash.h"
+#include "gdm/region_columns.h"
 #include "io/gdm_format.h"
 #include "io/gdmz.h"
 #include "sim/generators.h"
@@ -169,6 +172,315 @@ TEST(GdmzTest, FileRoundTripViaOpenGdmz) {
   std::remove(path.c_str());
 
   EXPECT_FALSE(OpenGdmz(::testing::TempDir() + "no_such_file.gdmz").ok());
+}
+
+
+// ------------------------------------------------------ byte stability ---
+
+/// A sorted sample whose rows tie on coordinates in runs (same chromosome,
+/// left, right and strand) while their values differ, so any re-sort that
+/// is not stable would reorder them.
+gdm::Dataset TiedDataset() {
+  gdm::RegionSchema schema;
+  EXPECT_TRUE(schema.AddAttr("k", gdm::AttrType::kInt).ok());
+  gdm::Dataset ds("TIES", schema);
+  gdm::Sample s(1);
+  std::vector<gdm::GenomicRegion>& rows = s.regions.mutable_rows();
+  const int32_t chrom = gdm::InternChrom("chrTies");
+  for (int64_t k = 0; k < 600; ++k) {
+    int64_t left = 1000 * (k % 7);
+    rows.emplace_back(chrom, left, left + 50, gdm::Strand::kNone,
+                      std::vector<gdm::Value>{gdm::Value(k)});
+  }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const gdm::GenomicRegion& a, const gdm::GenomicRegion& b) {
+                     return a.CoordLess(b);
+                   });
+  ds.AddSample(std::move(s));
+  return ds;
+}
+
+TEST(GdmzTest, RoundTripIsByteStableWithCoordinateTies) {
+  std::string first = WriteGdmzString(TiedDataset());
+  auto once = ReadGdmzString(first);
+  ASSERT_TRUE(once.ok()) << once.status().ToString();
+  std::string second = WriteGdmzString(once.value());
+  EXPECT_EQ(second, first);
+  auto twice = ReadGdmzString(second);
+  ASSERT_TRUE(twice.ok()) << twice.status().ToString();
+  EXPECT_EQ(WriteGdmzString(twice.value()), first);
+  // Tied rows keep their stored order.
+  const auto& rows = once.value().sample(0).regions.rows();
+  for (size_t i = 1; i < rows.size(); ++i) {
+    if (rows[i].left == rows[i - 1].left) {
+      EXPECT_LT(rows[i - 1].values[0].AsInt(), rows[i].values[0].AsInt());
+    }
+  }
+}
+
+/// Two fixed datasets that together touch every column encoding: generated
+/// peaks (front-coded names, decimal doubles, a uniform strand column) and
+/// a hand-seeded sample with INT, BOOL, dictionary STRING and DOUBLE
+/// columns, NULLs and a packed strand column. Each sample sits on one
+/// chromosome, so the bytes do not depend on the process's chromosome
+/// interning order.
+std::string GoldenGdmzBytes() {
+  auto genome = gdm::GenomeAssembly::HumanLike(1, 8000000);
+  sim::PeakDatasetOptions popt;
+  popt.num_samples = 2;
+  popt.peaks_per_sample = 400;
+  gdm::Dataset peaks = sim::GeneratePeakDataset(genome, popt, 20160315);
+
+  gdm::RegionSchema schema;
+  EXPECT_TRUE(schema.AddAttr("i", gdm::AttrType::kInt).ok());
+  EXPECT_TRUE(schema.AddAttr("b", gdm::AttrType::kBool).ok());
+  EXPECT_TRUE(schema.AddAttr("tag", gdm::AttrType::kString).ok());
+  EXPECT_TRUE(schema.AddAttr("x", gdm::AttrType::kDouble).ok());
+  gdm::Dataset mixed("MIXED", schema);
+  static const char* kTags[] = {"a", "bb", "ccc", "dddd"};
+  uint64_t x = 42;
+  const int32_t chrom = gdm::InternChrom("chrGolden");
+  for (gdm::SampleId id = 1; id <= 2; ++id) {
+    gdm::Sample s(id);
+    s.metadata.Add("k", "v" + std::to_string(id));
+    std::vector<gdm::GenomicRegion>& rows = s.regions.mutable_rows();
+    for (int k = 0; k < 300; ++k) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      int64_t left = static_cast<int64_t>((x >> 33) % 1000000);
+      gdm::GenomicRegion r(chrom, left,
+                           left + 1 + static_cast<int64_t>((x >> 40) % 5000),
+                           static_cast<gdm::Strand>((x >> 20) % 3));
+      r.values = {
+          k % 7 == 0 ? gdm::Value::Null()
+                     : gdm::Value(static_cast<int64_t>((x >> 30) % 2001) - 1000),
+          gdm::Value(((x >> 17) & 1) != 0),
+          k % 11 == 0 ? gdm::Value::Null() : gdm::Value(kTags[(x >> 50) % 4]),
+          gdm::Value(static_cast<double>((x >> 11) % 1000000) / 1000.0)};
+      rows.push_back(std::move(r));
+    }
+    s.SortNow();
+    mixed.AddSample(std::move(s));
+  }
+  return WriteGdmzString(peaks) + WriteGdmzString(mixed);
+}
+
+TEST(GdmzTest, WriterBytesMatchRecordedGolden) {
+  // Recorded from the bit-at-a-time writer: packing words must not change
+  // a single output byte.
+  std::string bytes = GoldenGdmzBytes();
+  EXPECT_EQ(bytes.size(), 20155u);
+  EXPECT_EQ(Fnv1a64(bytes), 0x3f7af74acadb5a09ULL);
+}
+
+// ------------------------------------------------ column-primary decode ---
+
+/// Every decoded sample is column-primary, and its columns equal
+/// RegionColumns::Build / ValueColumn::Build over its materialized rows.
+void ExpectDecodedColumnsMatchRows(const std::string& bytes) {
+  auto ds = ReadGdmzString(bytes);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  const gdm::RegionSchema& schema = ds.value().schema();
+  for (const gdm::Sample& s : ds.value().samples()) {
+    EXPECT_FALSE(s.regions.rows_built()) << "sample " << s.id;
+    const gdm::RegionColumns& dec = s.columns(schema);
+    const std::vector<gdm::GenomicRegion>& rows = s.regions.rows();
+    ASSERT_TRUE(s.regions.rows_built());
+    ASSERT_TRUE(gdm::RegionsSorted(rows));
+    gdm::RegionColumns built = gdm::RegionColumns::Build(rows, schema);
+    ASSERT_EQ(dec.size(), built.size());
+    EXPECT_EQ(dec.narrow(), built.narrow());
+    ASSERT_EQ(dec.chunks().size(), built.chunks().size());
+    for (size_t c = 0; c < dec.chunks().size(); ++c) {
+      EXPECT_EQ(dec.chunks()[c].chrom, built.chunks()[c].chrom);
+      EXPECT_EQ(dec.chunks()[c].begin, built.chunks()[c].begin);
+      EXPECT_EQ(dec.chunks()[c].end, built.chunks()[c].end);
+      EXPECT_EQ(dec.chunks()[c].max_len, built.chunks()[c].max_len);
+    }
+    EXPECT_EQ(dec.left32(), built.left32());
+    EXPECT_EQ(dec.right32(), built.right32());
+    EXPECT_EQ(dec.left64(), built.left64());
+    EXPECT_EQ(dec.right64(), built.right64());
+    EXPECT_EQ(dec.strands(), built.strands());
+    ASSERT_EQ(dec.num_attrs(), schema.size());
+    for (size_t a = 0; a < schema.size(); ++a) {
+      EXPECT_TRUE(dec.attr(a) ==
+                  gdm::ValueColumn::Build(rows, a, schema.attr(a).type))
+          << "sample " << s.id << " attribute " << schema.attr(a).name;
+    }
+  }
+}
+
+TEST(GdmzTest, DecodedColumnsEqualColumnsBuiltFromRows) {
+  ExpectDecodedColumnsMatchRows(WriteGdmzString(TextStableDataset()));
+  ExpectDecodedColumnsMatchRows(GoldenGdmzBytes());
+}
+
+TEST(GdmzTest, OutOfOrderChromosomesFallBackToSortedRows) {
+  // Two chromosomes whose names are swapped in the file's name table: the
+  // reader then sees the second chunk on the smaller chromosome id, so the
+  // decoded columns are out of order and the sample falls back to
+  // stable-sorted rows.
+  const int32_t lo = gdm::InternChrom("chrSwapA");
+  const int32_t hi = gdm::InternChrom("chrSwapB");
+  ASSERT_LT(lo, hi);
+  gdm::RegionSchema schema;
+  ASSERT_TRUE(schema.AddAttr("k", gdm::AttrType::kInt).ok());
+  gdm::Dataset ds("SWAP", schema);
+  gdm::Sample s(1);
+  for (int64_t k = 0; k < 40; ++k) {
+    s.regions.emplace_back(k < 20 ? lo : hi, 100 * (k % 4), 100 * (k % 4) + 10,
+                           gdm::Strand::kNone,
+                           std::vector<gdm::Value>{gdm::Value(k)});
+  }
+  std::stable_sort(s.regions.mutable_rows().begin(),
+                   s.regions.mutable_rows().end(),
+                   [](const gdm::GenomicRegion& a, const gdm::GenomicRegion& b) {
+                     return a.CoordLess(b);
+                   });
+  ds.AddSample(std::move(s));
+  std::string bytes = WriteGdmzString(ds);
+  size_t a = bytes.rfind("chrSwapA");
+  size_t b = bytes.rfind("chrSwapB");
+  ASSERT_NE(a, std::string::npos);
+  ASSERT_NE(b, std::string::npos);
+  bytes[a + 7] = 'B';
+  bytes[b + 7] = 'A';
+
+  auto back = ReadGdmzString(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  const gdm::Sample& got = back.value().sample(0);
+  EXPECT_TRUE(got.regions.rows_built());
+  const auto& rows = got.regions.rows();
+  ASSERT_EQ(rows.size(), 40u);
+  ASSERT_TRUE(gdm::RegionsSorted(rows));
+  // The rows stored on chrSwapB (k >= 20) now lead, ties in stored order.
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].chrom, i < 20 ? lo : hi);
+    EXPECT_EQ(rows[i].values[0].AsInt() >= 20, i < 20);
+    if (i > 0 && !rows[i].CoordLess(rows[i - 1]) &&
+        !rows[i - 1].CoordLess(rows[i])) {
+      EXPECT_LT(rows[i - 1].values[0].AsInt(), rows[i].values[0].AsInt());
+    }
+  }
+  EXPECT_TRUE(back.value().Validate().ok());
+}
+
+// ------------------------------------------------ packed integer streams ---
+
+/// Reference bit-at-a-time packer: mode byte, width byte, values LSB-first.
+std::string RefPack(const std::vector<uint64_t>& vals, int width) {
+  std::string out = {char{2}, static_cast<char>(width)};
+  std::vector<uint8_t> bytes((vals.size() * width + 7) / 8, 0);
+  size_t bit = 0;
+  for (uint64_t v : vals) {
+    for (int b = 0; b < width; ++b, ++bit) {
+      if ((v >> b) & 1) bytes[bit >> 3] |= static_cast<uint8_t>(1u << (bit & 7));
+    }
+  }
+  out.append(bytes.begin(), bytes.end());
+  return out;
+}
+
+/// Reference bit-at-a-time unpacker of a RefPack stream (no validation).
+std::vector<uint64_t> RefUnpack(const std::string& stream, size_t count) {
+  int width = static_cast<uint8_t>(stream[1]);
+  std::vector<uint64_t> out;
+  size_t bit = 0;
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t v = 0;
+    for (int b = 0; b < width; ++b, ++bit) {
+      if ((static_cast<uint8_t>(stream[2 + (bit >> 3)]) >> (bit & 7)) & 1) {
+        v |= uint64_t{1} << b;
+      }
+    }
+    out.push_back(v);
+  }
+  return out;
+}
+
+/// `count` values of exactly `width` bits (the first has its top bit set).
+std::vector<uint64_t> WidthValues(int width, size_t count, std::mt19937_64* rng) {
+  const uint64_t mask = width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+  std::vector<uint64_t> vals;
+  for (size_t i = 0; i < count; ++i) vals.push_back((*rng)() & mask);
+  if (!vals.empty()) vals[0] |= uint64_t{1} << (width - 1);
+  return vals;
+}
+
+std::vector<int> EdgeWidths() {
+  std::vector<int> widths = {1, 7, 8, 9};
+  for (int w = 57; w <= 64; ++w) widths.push_back(w);
+  return widths;
+}
+
+TEST(GdmzIntStreamTest, WordUnpackingMatchesBitReference) {
+  std::mt19937_64 rng(7);
+  for (int width : EdgeWidths()) {
+    for (size_t count : {size_t{1}, size_t{3}, size_t{7}, size_t{8},
+                         size_t{9}, size_t{13}, size_t{63}, size_t{64},
+                         size_t{65}, size_t{301}}) {
+      std::vector<uint64_t> vals = WidthValues(width, count, &rng);
+      std::string stream = RefPack(vals, width);
+      ASSERT_EQ(RefUnpack(stream, count), vals);
+      auto got = DecodeIntStream(stream, count);
+      ASSERT_TRUE(got.ok()) << "width " << width << " count " << count;
+      EXPECT_EQ(got.value(), vals) << "width " << width << " count " << count;
+    }
+  }
+}
+
+TEST(GdmzIntStreamTest, WordPackingMatchesBitReference) {
+  std::mt19937_64 rng(11);
+  for (int width : EdgeWidths()) {
+    size_t packed = 0;
+    for (size_t count : {size_t{1}, size_t{5}, size_t{8}, size_t{9},
+                         size_t{27}, size_t{64}, size_t{129}}) {
+      std::vector<uint64_t> vals = WidthValues(width, count, &rng);
+      std::string stream = EncodeIntStream(vals);
+      auto back = DecodeIntStream(stream, count);
+      ASSERT_TRUE(back.ok());
+      EXPECT_EQ(back.value(), vals);
+      if (stream[0] == 2) {  // the writer chose the packed layout
+        ++packed;
+        EXPECT_EQ(stream, RefPack(vals, width))
+            << "width " << width << " count " << count;
+      }
+    }
+    EXPECT_GT(packed, 0u) << "width " << width << " never packed";
+  }
+}
+
+TEST(GdmzIntStreamTest, CorruptStreamsAreParseErrors) {
+  std::mt19937_64 rng(13);
+  auto expect_parse_error = [](const std::string& stream, size_t count,
+                               const std::string& what) {
+    auto got = DecodeIntStream(stream, count);
+    ASSERT_FALSE(got.ok()) << what;
+    EXPECT_EQ(got.status().code(), StatusCode::kParseError) << what;
+  };
+  for (int width : EdgeWidths()) {
+    for (size_t count : {size_t{1}, size_t{7}, size_t{9}, size_t{65}}) {
+      std::string stream = RefPack(WidthValues(width, count, &rng), width);
+      std::string what =
+          "width " + std::to_string(width) + " count " + std::to_string(count);
+      // One payload byte short: the last value's bits are cut.
+      expect_parse_error(stream.substr(0, stream.size() - 1), count,
+                         what + " short");
+      // One byte too many: the stream must be consumed exactly.
+      expect_parse_error(stream + '\0', count, what + " long");
+      // More values than the payload holds.
+      expect_parse_error(stream, count + 8, what + " over-count");
+    }
+  }
+  expect_parse_error(std::string(), 1, "empty");
+  expect_parse_error(std::string({char{2}}), 1, "no width");
+  expect_parse_error(std::string({char{2}, char{0}, char{0}}), 1, "width 0");
+  expect_parse_error(std::string({char{2}, char{65}, char{0}}), 1, "width 65");
+  expect_parse_error(std::string({char{3}, char{1}}), 1, "unknown mode");
+  expect_parse_error(std::string({char{0}, char{1}}), 2, "varint short");
+  expect_parse_error(std::string({char{1}, char{3}, char{5}}), 2,
+                     "run longer than count");
+  expect_parse_error(std::string({char{1}, char{1}}), 1, "run without value");
 }
 
 }  // namespace
