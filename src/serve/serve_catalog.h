@@ -42,7 +42,9 @@ class ServeCatalog {
 
   /// Inserts or replaces `dataset` under its name and bumps its version
   /// (first publish = version 1). Returns the new version. Fires the
-  /// on_publish hook (result-cache invalidation) after the swap.
+  /// on_publish hook (result-cache invalidation) after the swap. Stored
+  /// (.gdmz) samples decode their attributes here, before the swap, so the
+  /// writer pays for them rather than the new version's first reader.
   uint64_t Publish(gdm::Dataset dataset);
 
   /// The current snapshot, or {nullptr, 0} when absent.

@@ -175,7 +175,8 @@ bool StripExplainAnalyze(std::string* gmql) {
 /// through .gdmz, checks the result is byte-identical to the text
 /// round-trip (the formats share the decimal-6 double fidelity), and feeds
 /// the decoder truncated and corrupted images, which must be rejected — not
-/// crash, not loop.
+/// crash, not loop — or, when a corrupted one opens, decode every
+/// attribute safely.
 int RunGdmzSelftest() {
   auto genome = gdm::GenomeAssembly::HumanLike(4, 30000000);
   sim::PeakDatasetOptions popt;
@@ -209,8 +210,13 @@ int RunGdmzSelftest() {
     corrupt[i] = static_cast<char>(corrupt[i] ^ 0x5a);
     // Decoding flipped bytes may legitimately succeed for payload bytes
     // that only change values; the requirement is no crash/UB (the point
-    // of running this under ASan/UBSan).
-    (void)io::ReadGdmzBytes(corrupt);
+    // of running this under ASan/UBSan). Attributes decode on first use,
+    // so every one of a successful parse is forced too.
+    auto decoded = io::ReadGdmzBytes(corrupt);
+    if (decoded.ok()) {
+      for (const auto& s : decoded.value().samples()) (void)s.regions.rows();
+      (void)io::WriteGdmString(decoded.value());
+    }
     corrupt[i] = bin[i];
   }
   std::printf("gdmz selftest ok: %zu text bytes -> %zu gdmz bytes (%.2fx)\n",
