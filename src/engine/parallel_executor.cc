@@ -7,6 +7,7 @@
 
 #include "core/fused.h"
 #include "engine/shuffle.h"
+#include "gdm/region_columns.h"
 #include "interval/accumulation.h"
 #include "interval/batch.h"
 #include "interval/sweep.h"
@@ -300,9 +301,16 @@ Result<gdm::Dataset> ParallelExecutor::Execute(
 }
 
 void ParallelExecutor::RunStage(const char* name, size_t n,
-                                const std::function<void(size_t)>& fn) {
+                                const std::function<void(size_t)>& task) {
   trace_.tasks.fetch_add(n, kRelaxed);
   if (n == 0) return;
+  // Tasks read for the query that runs the stage: corrupt stored columns
+  // they read report to its log, on whichever thread they run.
+  gdm::AttrReadLog* attr_reads = gdm::AttrReadLog::Current();
+  const std::function<void(size_t)> fn = [&](size_t i) {
+    gdm::AttrReadLog::Scope scope(attr_reads);
+    task(i);
+  };
   obs::Tracer& tracer = obs::Tracer::Global();
   if (!tracer.enabled()) {
     pool_.ParallelFor(n, fn);

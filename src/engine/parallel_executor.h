@@ -126,8 +126,9 @@ class ParallelExecutor : public core::Executor {
   /// global tracer is enabled, wraps the loop in a "stage" span carrying
   /// task count, mean queue wait, and per-partition min/median/max duration
   /// (the skew figures). Disabled-tracer fast path is one relaxed load.
+  /// Each task runs under the caller's gdm::AttrReadLog.
   void RunStage(const char* name, size_t n,
-                const std::function<void(size_t)>& fn);
+                const std::function<void(size_t)>& task);
 
   /// The backend's stage boundary for the kernels of MAP and JOIN.
   /// Partition `pi` covers parts[pi]'s ranges of the region lists returned
