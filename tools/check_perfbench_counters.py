@@ -11,8 +11,9 @@ Each RUN.txt is the standard output of one traced perfbench run:
 
 Its first line names the workload and seed, its last line is the JSON
 result. Counters are per-query figures of a seeded input (task and
-partition counts, operator output regions, intermediate datasets, stored
-bytes per region), so they do not depend on the machine or the run length.
+partition counts, operator output regions and bytes, bytes allocated and
+peak bytes held by the query, intermediate datasets, stored bytes per
+region), so they do not depend on the machine or the run length.
 
 Check mode fails (exit 1) when a run did not report `correct`, when its
 seed differs from the recorded one, or when any recorded counter of its
@@ -36,6 +37,9 @@ CANDIDATES = [
     "engine.tasks",
     "engine.partitions",
     "engine.*.out_regions",
+    "engine.*.out_mb",
+    "core.alloc_mb",
+    "core.peak_mb",
     "core.intermediate_datasets",
     "io.stored_bytes_per_region",
 ]
