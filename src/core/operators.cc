@@ -88,7 +88,10 @@ std::vector<std::string> AppendAggAttrs(
   return names;
 }
 
-/// Concatenated, sorted regions of several samples.
+/// Concatenated, sorted regions of several samples. The sort is stable, so
+/// regions tied on coordinates keep sample order, then row order: folds
+/// over them (COVER's aggregates) have one defined order, the one a merge
+/// of the sorted samples produces.
 std::vector<GenomicRegion> ConcatRegions(
     const std::vector<const Sample*>& samples) {
   std::vector<GenomicRegion> out;
@@ -98,7 +101,10 @@ std::vector<GenomicRegion> ConcatRegions(
   for (const auto* s : samples) {
     out.insert(out.end(), s->regions.begin(), s->regions.end());
   }
-  gdm::SortRegions(&out);
+  std::stable_sort(out.begin(), out.end(),
+                   [](const GenomicRegion& a, const GenomicRegion& b) {
+                     return a.CoordLess(b);
+                   });
   return out;
 }
 
@@ -610,17 +616,23 @@ Result<gdm::Dataset> Operators::Map(const MapParams& params,
   return out;
 }
 
+gdm::RegionSchema Operators::CoverOutputSchema(const CoverParams& params) {
+  RegionSchema schema;
+  if (params.variant == CoverVariant::kHistogram ||
+      params.variant == CoverVariant::kSummit) {
+    (void)schema.AddAttr("acc_index", AttrType::kInt);
+  }
+  AppendAggAttrs(params.aggregates, &schema);
+  return schema;
+}
+
 Result<gdm::Dataset> Operators::Cover(const CoverParams& params,
                                       const Dataset& in) {
   GDMS_ASSIGN_OR_RETURN(std::vector<size_t> inputs,
                         ResolveAggInputs(params.aggregates, in.schema()));
-  // Output schema: acc_index for HISTOGRAM/SUMMIT, then aggregates.
-  RegionSchema schema;
   bool with_acc = params.variant == CoverVariant::kHistogram ||
                   params.variant == CoverVariant::kSummit;
-  if (with_acc) (void)schema.AddAttr("acc_index", AttrType::kInt);
-  AppendAggAttrs(params.aggregates, &schema);
-  Dataset out(CoverVariantName(params.variant), schema);
+  Dataset out(CoverVariantName(params.variant), CoverOutputSchema(params));
 
   std::map<std::string, std::vector<const Sample*>> groups;
   for (const auto& s : in.samples()) {

@@ -65,6 +65,10 @@ class Operators {
   static gdm::RegionSchema JoinOutputSchema(const gdm::RegionSchema& left,
                                             const gdm::RegionSchema& right);
 
+  /// Output schema of a COVER-family operator: `acc_index` for HISTOGRAM
+  /// and SUMMIT, then the aggregate columns (collisions suffixed).
+  static gdm::RegionSchema CoverOutputSchema(const CoverParams& params);
+
   /// True when two samples match on every joinby attribute (sharing at
   /// least one value per attribute). An empty list always matches.
   static bool JoinbyMatch(const std::vector<std::string>& joinby,

@@ -32,19 +32,10 @@ using gdm::RegionColumns;
 using gdm::RegionSchema;
 using gdm::Sample;
 using gdm::Value;
+using interval::ColumnSlice;
+using interval::MergeSlices;
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
-
-/// Total bytes held by a materialized-backend shuffle buffer pair, charged
-/// to the active query's current operator for the shuffle's lifetime (the
-/// stage barrier means the runner thread is still inside that operator).
-uint64_t ShuffleBufferBytes(const std::vector<std::string>& a,
-                            const std::vector<std::string>& b) {
-  uint64_t total = 0;
-  for (const auto& s : a) total += s.size();
-  for (const auto& s : b) total += s.size();
-  return total;
-}
 
 /// Overlap sweep over single-chromosome slices (both sorted by left).
 /// `window` > 0 turns it into a distance-window sweep.
@@ -71,13 +62,6 @@ void SliceSweep(const std::vector<GenomicRegion>& refs, size_t rb, size_t re,
       }
     }
   }
-}
-
-uint64_t SliceBytes(const std::vector<GenomicRegion>& regions, size_t begin,
-                    size_t end, std::string* buffer) {
-  size_t before = buffer->size();
-  RegionCodec::Encode(regions, begin, end, buffer);
-  return buffer->size() - before;
 }
 
 /// Ref-side bin chunks, computed once per distinct ref sample and shared by
@@ -228,31 +212,29 @@ class MapAggState {
   std::vector<AggAccumulator> accs_;  // MEDIAN / BAG only
 };
 
-/// Coordinates of rows [begin, end) as 64-bit columns. Decoded shuffle
-/// slices carry no RegionColumns, so the materialized backend lifts their
-/// coordinates into a CoordView before running the batch kernel.
-class SliceCoords {
- public:
-  SliceCoords(const std::vector<GenomicRegion>& rows, size_t begin,
-              size_t end) {
-    left_.reserve(end - begin);
-    right_.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      left_.push_back(rows[i].left);
-      right_.push_back(rows[i].right);
+/// 64-bit coordinate columns: COVER's merged inputs, or the coordinates of
+/// a region list lifted out for a batch kernel (decoded shuffle slices and
+/// COVER's output regions carry no RegionColumns).
+struct Coords64 {
+  Coords64() = default;
+  explicit Coords64(const std::vector<GenomicRegion>& rows) {
+    left.reserve(rows.size());
+    right.reserve(rows.size());
+    for (const GenomicRegion& r : rows) {
+      left.push_back(r.left);
+      right.push_back(r.right);
     }
   }
 
   interval::CoordView view() const {
     interval::CoordView v;
-    v.l64 = left_.data();
-    v.r64 = right_.data();
-    v.size = left_.size();
+    v.l64 = left.data();
+    v.r64 = right.data();
+    v.size = left.size();
     return v;
   }
 
- private:
-  std::vector<int64_t> left_, right_;
+  std::vector<int64_t> left, right;
 };
 
 }  // namespace
@@ -338,47 +320,50 @@ void ParallelExecutor::RunStage(const char* name, size_t n,
   span.AddAttr("part_max_us", static_cast<double>(skew.max_ns) / 1e3);
 }
 
-Status ParallelExecutor::RunPartitionStages(
-    const char* shuffle_stage, const char* compute_stage,
-    const std::vector<Partition>& parts,
-    const std::function<std::pair<const Regions*, const Regions*>(size_t)>&
-        inputs,
-    const PartitionKernel& kernel) {
+Status ParallelExecutor::RunPartitionStages(const char* shuffle_stage,
+                                            const char* compute_stage,
+                                            size_t n,
+                                            const SliceLister& slices,
+                                            const PartitionKernel& kernel) {
   if (options_.backend == BackendKind::kPipelined) {
-    RunStage(compute_stage, parts.size(), [&](size_t pi) {
-      const Partition& part = parts[pi];
-      kernel(pi, nullptr, part.ref_begin, part.ref_end, nullptr,
-             part.exp_begin, part.exp_end);
-    });
+    RunStage(compute_stage, n, [&](size_t pi) { kernel(pi, nullptr); });
     return Status::OK();
   }
-  // Stage 1: serialize every partition (the shuffle write); ONE global
-  // barrier; stage 2: deserialize and compute.
-  std::vector<std::string> ref_buffers(parts.size());
-  std::vector<std::string> exp_buffers(parts.size());
-  RunStage(shuffle_stage, parts.size(), [&](size_t pi) {
-    const Partition& part = parts[pi];
-    auto [refs, exps] = inputs(pi);
-    trace_.shuffle_bytes.fetch_add(
-        SliceBytes(*refs, part.ref_begin, part.ref_end, &ref_buffers[pi]) +
-            SliceBytes(*exps, part.exp_begin, part.exp_end, &exp_buffers[pi]),
-        kRelaxed);
+  // Stage 1: serialize every slice of every partition (the shuffle write);
+  // ONE global barrier; stage 2: deserialize and compute.
+  std::vector<std::vector<std::string>> buffers(n);
+  std::atomic<uint64_t> held{0};
+  RunStage(shuffle_stage, n, [&](size_t pi) {
+    std::vector<RowSlice> in;
+    slices(pi, &in);
+    buffers[pi].resize(in.size());
+    uint64_t bytes = 0;
+    for (size_t s = 0; s < in.size(); ++s) {
+      RegionCodec::Encode(*in[s].rows, in[s].begin, in[s].end,
+                          &buffers[pi][s]);
+      bytes += buffers[pi][s].size();
+    }
+    trace_.shuffle_bytes.fetch_add(bytes, kRelaxed);
+    held.fetch_add(bytes, kRelaxed);
   });
   trace_.stage_barriers.fetch_add(1, kRelaxed);
-  obs::ScopedCharge shuffle_charge(
-      ShuffleBufferBytes(ref_buffers, exp_buffers));
+  // Charged to the active query's current operator while the buffers live:
+  // behind the barrier, the runner thread is still inside that operator.
+  obs::ScopedCharge shuffle_charge(held.load(kRelaxed));
   FirstError errors;
-  RunStage(compute_stage, parts.size(), [&](size_t pi) {
+  RunStage(compute_stage, n, [&](size_t pi) {
     if (errors.failed()) return;
-    auto refs = RegionCodec::Decode(ref_buffers[pi]);
-    auto exps = RegionCodec::Decode(exp_buffers[pi]);
-    if (!refs.ok() || !exps.ok()) {
-      errors.Capture(refs.ok() ? exps.status() : refs.status());
-      return;
+    std::vector<Regions> decoded;
+    decoded.reserve(buffers[pi].size());
+    for (const std::string& buf : buffers[pi]) {
+      auto rows = RegionCodec::Decode(buf);
+      if (!rows.ok()) {
+        errors.Capture(rows.status());
+        return;
+      }
+      decoded.push_back(std::move(rows).value());
     }
-    const Regions& rv = refs.value();
-    const Regions& ev = exps.value();
-    kernel(pi, &rv, 0, rv.size(), &ev, 0, ev.size());
+    kernel(pi, &decoded);
   });
   return errors.status();
 }
@@ -472,11 +457,12 @@ Result<gdm::Dataset> ParallelExecutor::ParallelDifference(
   Dataset out(fused != nullptr ? tail.output_name() : "DIFFERENCE",
               fused != nullptr ? tail.output_schema() : left.schema());
 
-  // Tasks span (left sample x chromosome). Negatives are gathered per
-  // chromosome as bare coordinate pairs out of each matched right sample's
-  // columns (no Value payload copies), and the exists-sweep runs over packed
-  // coordinate arrays — overlap never crosses chromosomes, so
-  // per-chromosome difference equals the whole-sample difference.
+  // Tasks span (left sample x chromosome). Negatives are merged per
+  // chromosome as bare coordinates out of each matched right sample's
+  // sorted chunk columns (no Value payload copies), and the exists-sweep
+  // runs over packed coordinate arrays — overlap never crosses
+  // chromosomes, so per-chromosome difference equals the whole-sample
+  // difference.
   auto pair_idx = MatchJoinbyPairs(left, right, params.joinby);
   std::vector<std::vector<const Sample*>> matched(left.num_samples());
   for (const auto& [l, r] : pair_idx) matched[l].push_back(&right.sample(r));
@@ -524,32 +510,24 @@ Result<gdm::Dataset> ParallelExecutor::ParallelDifference(
     const DiffTask& t = tasks[ti];
     const Sample& ls = left.sample(t.sample);
     trace_.columnar_tasks.fetch_add(1, kRelaxed);
-    std::vector<std::pair<int64_t, int64_t>> negs;
+    std::vector<ColumnSlice> chunks;
     for (const Sample* rs : matched[t.sample]) {
       const RegionColumns& rc = rs->columns(right.schema());
-      const ColumnChunk* ch = rc.FindChunk(t.chrom);
-      if (ch == nullptr) continue;
-      negs.reserve(negs.size() + (ch->end - ch->begin));
-      for (size_t i = ch->begin; i < ch->end; ++i) {
-        negs.emplace_back(rc.left(i), rc.right(i));
+      if (const ColumnChunk* ch = rc.FindChunk(t.chrom)) {
+        chunks.push_back({&rc, ch->begin, ch->end});
       }
     }
-    if (negs.empty()) return;
-    std::sort(negs.begin(), negs.end());
-    std::vector<int64_t> neg_l(negs.size()), neg_r(negs.size());
-    for (size_t i = 0; i < negs.size(); ++i) {
-      neg_l[i] = negs[i].first;
-      neg_r[i] = negs[i].second;
-    }
-    interval::CoordView nview;
-    nview.l64 = neg_l.data();
-    nview.r64 = neg_r.data();
-    nview.size = negs.size();
+    if (chunks.empty()) return;
+    Coords64 negs;
+    MergeSlices(chunks, [&](size_t c, size_t row) {
+      negs.left.push_back(chunks[c].cols->left(row));
+      negs.right.push_back(chunks[c].cols->right(row));
+    });
     interval::CoordView rview =
         interval::CoordView::Of(ls.columns(left.schema()), t.begin, t.end);
     size_t n = t.end - t.begin;
     std::vector<char> flags(n, 0);
-    interval::ExistsOverlapInto(rview, nview, 0, &flags);
+    interval::ExistsOverlapInto(rview, negs.view(), 0, &flags);
     for (size_t i = 0; i < n; ++i) {
       if (flags[i]) keep[t.sample][t.begin + i] = 0;
     }
@@ -644,42 +622,48 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
   trace_.partitions.fetch_add(parts.size(), kRelaxed);
 
   GDMS_RETURN_NOT_OK(RunPartitionStages(
-      "map:shuffle-write", "map:compute", parts,
-      [&](size_t pi) {
+      "map:shuffle-write", "map:compute", parts.size(),
+      [&](size_t pi, std::vector<RowSlice>* slices) {
         const PairState& ps = pairs[owner[pi]];
-        return std::make_pair(&ps.rs->regions.rows(), &ps.es->regions.rows());
+        const Partition& part = parts[pi];
+        slices->push_back(
+            {&ps.rs->regions.rows(), part.ref_begin, part.ref_end});
+        slices->push_back(
+            {&ps.es->regions.rows(), part.exp_begin, part.exp_end});
       },
-      [&](size_t pi, const Regions* refs, size_t rb, size_t re,
-          const Regions* exps, size_t eb, size_t ee) {
+      [&](size_t pi, const std::vector<Regions>* decoded) {
         PairState& ps = pairs[owner[pi]];
+        const Partition& part = parts[pi];
         trace_.columnar_tasks.fetch_add(1, kRelaxed);
         std::vector<interval::MatchPair> matches;
-        if (pipelined) {
-          interval::CollectOverlaps(interval::CoordView::Of(*ps.rcols, rb, re),
-                                    interval::CoordView::Of(*ps.ecols, eb, ee),
-                                    &matches);
+        if (decoded == nullptr) {
+          interval::CollectOverlaps(
+              interval::CoordView::Of(*ps.rcols, part.ref_begin, part.ref_end),
+              interval::CoordView::Of(*ps.ecols, part.exp_begin, part.exp_end),
+              &matches);
         } else {
-          interval::CollectOverlaps(SliceCoords(*refs, rb, re).view(),
-                                    SliceCoords(*exps, eb, ee).view(),
-                                    &matches);
+          interval::CollectOverlaps(Coords64((*decoded)[0]).view(),
+                                    Coords64((*decoded)[1]).view(), &matches);
         }
         // Ref rows are disjoint across partitions, so the per-pair arrays
         // need no synchronization.
-        size_t ref_offset = parts[pi].ref_begin;
+        size_t ref_offset = part.ref_begin;
         for (const auto& mp : matches) {
           ++ps.match_count[ref_offset + mp.ref];
         }
         for (size_t x = 0; x < specs.size(); ++x) {
           if (specs[x].func == AggFunc::kCount) continue;
           size_t a = agg_inputs[x];
-          if (pipelined) {
-            ps.aggs[x].AddMatches(matches, ps.ecols->attr(a), ref_offset, eb);
+          if (decoded == nullptr) {
+            ps.aggs[x].AddMatches(matches, ps.ecols->attr(a), ref_offset,
+                                  part.exp_begin);
           } else {
             // The decoded slice is this partition's copy of the exp rows.
             ps.aggs[x].AddMatches(
                 matches,
-                gdm::ValueColumn::Build(*exps, a, exp.schema().attr(a).type),
-                ref_offset, eb);
+                gdm::ValueColumn::Build((*decoded)[1], a,
+                                        exp.schema().attr(a).type),
+                ref_offset, 0);
           }
         }
       }));
@@ -776,19 +760,30 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
 
   std::vector<std::vector<GenomicRegion>> chunk_out(parts.size());
   GDMS_RETURN_NOT_OK(RunPartitionStages(
-      "join:shuffle-write", "join:compute", parts,
-      [&](size_t pi) {
+      "join:shuffle-write", "join:compute", parts.size(),
+      [&](size_t pi, std::vector<RowSlice>* slices) {
         const PairState& ps = pairs[owner[pi]];
-        return std::make_pair(&ps.ls->regions.rows(), &ps.rs->regions.rows());
+        const Partition& part = parts[pi];
+        slices->push_back(
+            {&ps.ls->regions.rows(), part.ref_begin, part.ref_end});
+        slices->push_back(
+            {&ps.rs->regions.rows(), part.exp_begin, part.exp_end});
       },
-      [&](size_t pi, const Regions* lslice, size_t lb, size_t le,
-          const Regions* rslice, size_t rb, size_t re) {
+      [&](size_t pi, const std::vector<Regions>* decoded) {
         const PairState& ps = pairs[owner[pi]];
-        const Regions& lv = lslice != nullptr ? *lslice : ps.ls->regions.rows();
-        const Regions& rv = rslice != nullptr ? *rslice : ps.rs->regions.rows();
-        SliceSweep(lv, lb, le, rv, rb, re, window, [&](size_t i, size_t a) {
-          Operators::JoinEmit(params, lv[i], rv[a], &chunk_out[pi]);
-        });
+        Partition part = parts[pi];
+        const Regions* lv = &ps.ls->regions.rows();
+        const Regions* rv = &ps.rs->regions.rows();
+        if (decoded != nullptr) {
+          lv = &(*decoded)[0];
+          rv = &(*decoded)[1];
+          part = {0, lv->size(), 0, rv->size()};
+        }
+        SliceSweep(*lv, part.ref_begin, part.ref_end, *rv, part.exp_begin,
+                   part.exp_end, window, [&](size_t i, size_t a) {
+                     Operators::JoinEmit(params, (*lv)[i], (*rv)[a],
+                                         &chunk_out[pi]);
+                   });
       }));
 
   std::vector<char> emit(pairs.size(), 1);
@@ -813,286 +808,202 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
 Result<gdm::Dataset> ParallelExecutor::ParallelCover(
     const core::CoverParams& params, const Dataset& in,
     const core::PlanNode* fused) {
+  const std::vector<AggregateSpec>& specs = params.aggregates;
   GDMS_ASSIGN_OR_RETURN(std::vector<size_t> agg_inputs,
-                        core::ResolveAggInputs(params.aggregates, in.schema()));
-  RegionSchema schema;
-  bool with_acc = params.variant == core::CoverVariant::kHistogram ||
-                  params.variant == core::CoverVariant::kSummit;
-  if (with_acc) (void)schema.AddAttr("acc_index", gdm::AttrType::kInt);
-  for (const auto& spec : params.aggregates) {
-    std::string name = spec.output_name;
-    int suffix = 1;
-    while (schema.Contains(name)) {
-      name = spec.output_name + "_" + std::to_string(suffix++);
-    }
-    (void)schema.AddAttr(name, core::AggOutputType(spec.func));
-  }
+                        core::ResolveAggInputs(specs, in.schema()));
+  RegionSchema schema = Operators::CoverOutputSchema(params);
   FusedTail tail;
   if (fused != nullptr) {
     GDMS_ASSIGN_OR_RETURN(tail, FusedTail::Bind(*fused, schema));
   }
-  Dataset out(
-      fused != nullptr ? tail.output_name()
-                       : core::CoverVariantName(params.variant),
-      fused != nullptr ? tail.output_schema() : schema);
+  const char* variant = core::CoverVariantName(params.variant);
+  Dataset out(fused != nullptr ? tail.output_name() : variant,
+              fused != nullptr ? tail.output_schema() : schema);
 
+  // Partitions are (group x chromosome), one per chromosome present in any
+  // member's chunk directory. Each merges its members' sorted chunk rows,
+  // ties in member order, which is the reference's pooled order. Every
+  // later step reads only the merged coordinates and the aggregate inputs
+  // gathered in that order, so no stage builds a member's rows on the
+  // pipelined backend.
+  struct MemberChunk {
+    const Sample* member;
+    size_t begin;
+    size_t end;
+  };
+  struct CoverPart {
+    size_t group;
+    int32_t chrom;
+    std::vector<MemberChunk> chunks;         // in member order
+    Coords64 pooled;                         // the merged member rows
+    std::vector<std::vector<Value>> values;  // per aggregate, merged order
+    std::vector<interval::AccSegment> profile;
+    std::vector<GenomicRegion> regions;  // output rows
+  };
+  struct Group {
+    std::string key;
+    std::vector<const Sample*> members;
+    size_t part_begin;
+    size_t part_end;
+    interval::CoverBounds bounds;
+  };
   std::map<std::string, std::vector<const Sample*>> group_map;
   for (const auto& s : in.samples()) {
     std::string key =
         params.groupby.empty() ? "" : s.metadata.FirstValue(params.groupby);
     group_map[key].push_back(&s);
   }
-
-  struct Seg {
-    size_t begin;
-    size_t end;
-  };
-  struct GroupWork {
-    std::string key;
-    std::vector<const Sample*> members;
-    std::vector<GenomicRegion> pooled;
-    std::vector<Seg> segs;
-    size_t seg_offset = 0;  // first segment in the flat per-segment arrays
-    interval::CoverBounds bounds{0, 0};
-    // Columnar pooling (flat pipelined, no aggregates): one entry per
-    // segment — the chromosome and its merged, sorted coordinate pairs,
-    // gathered from the members' columns without touching Value payloads.
-    // `segs` then holds placeholder ranges purely to keep the counts that
-    // drive the flat per-segment arrays.
-    std::vector<int32_t> seg_chroms;
-    std::vector<std::vector<int64_t>> seg_l, seg_r;
-  };
-  std::vector<GroupWork> groups;
-  groups.reserve(group_map.size());
+  std::vector<Group> groups;
+  std::vector<CoverPart> parts;
   for (auto& [key, members] : group_map) {
-    GroupWork g;
-    g.key = key;
-    g.members = std::move(members);
-    groups.push_back(std::move(g));
+    std::map<int32_t, std::vector<MemberChunk>> by_chrom;
+    for (const Sample* m : members) {
+      for (const ColumnChunk& c : m->columns(in.schema()).chunks()) {
+        by_chrom[c.chrom].push_back({m, c.begin, c.end});
+      }
+    }
+    groups.push_back({key, std::move(members), parts.size(), 0, {}});
+    for (auto& [chrom, chunks] : by_chrom) {
+      CoverPart& part = parts.emplace_back();
+      part.group = groups.size() - 1;
+      part.chrom = chrom;
+      part.chunks = std::move(chunks);
+    }
+    groups.back().part_end = parts.size();
+  }
+  trace_.partitions.fetch_add(parts.size(), kRelaxed);
+
+  GDMS_RETURN_NOT_OK(RunPartitionStages(
+      "cover:shuffle-write", "cover:profile", parts.size(),
+      [&](size_t pi, std::vector<RowSlice>* slices) {
+        for (const MemberChunk& c : parts[pi].chunks) {
+          slices->push_back({&c.member->regions.rows(), c.begin, c.end});
+        }
+      },
+      [&](size_t pi, const std::vector<Regions>* decoded) {
+        CoverPart& part = parts[pi];
+        trace_.columnar_tasks.fetch_add(1, kRelaxed);
+        // The members' own columns at their chunk bounds, or columns over
+        // the decoded copies of those chunks.
+        std::vector<RegionColumns> copies;
+        std::vector<ColumnSlice> chunks;
+        if (decoded == nullptr) {
+          for (const MemberChunk& c : part.chunks) {
+            chunks.push_back({&c.member->columns(in.schema()), c.begin, c.end});
+          }
+        } else {
+          copies.reserve(decoded->size());
+          for (const Regions& rows : *decoded) {
+            copies.push_back(RegionColumns::Build(rows, in.schema()));
+            chunks.push_back({&copies.back(), 0, rows.size()});
+          }
+        }
+        // inputs[c * specs + x]: chunk c's column of aggregate x's input.
+        std::vector<const gdm::ValueColumn*> inputs;
+        for (const ColumnSlice& c : chunks) {
+          for (size_t a : agg_inputs) {
+            inputs.push_back(a == SIZE_MAX ? nullptr : &c.cols->attr(a));
+          }
+        }
+        size_t rows = 0;
+        for (const ColumnSlice& c : chunks) rows += c.end - c.begin;
+        part.pooled.left.reserve(rows);
+        part.pooled.right.reserve(rows);
+        part.values.resize(specs.size());
+        MergeSlices(chunks, [&](size_t c, size_t row) {
+          part.pooled.left.push_back(chunks[c].cols->left(row));
+          part.pooled.right.push_back(chunks[c].cols->right(row));
+          for (size_t x = 0; x < specs.size(); ++x) {
+            const gdm::ValueColumn* col = inputs[c * specs.size() + x];
+            if (col != nullptr) part.values[x].push_back(col->At(row));
+          }
+        });
+        const Coords64& p = part.pooled;
+        interval::ProfileFromCoords(part.chrom, p.left.data(), p.right.data(),
+                                    p.left.size(), &part.profile);
+      }));
+
+  // ANY/ALL resolve against the group's maximum over all its chromosomes.
+  for (Group& g : groups) {
+    int64_t max_acc = 0;
+    for (size_t pi = g.part_begin; pi < g.part_end; ++pi) {
+      max_acc = std::max(max_acc, interval::MaxAccumulation(parts[pi].profile));
+    }
+    g.bounds = interval::ResolveBounds({params.min_acc, params.max_acc},
+                                       max_acc);
   }
 
-  // Columnar pooling needs only the coordinate profile, so the plan picks it
-  // exactly when no stage rematerializes rows: COVER/HISTOGRAM/SUMMIT with
-  // no aggregates (FLAT and aggregate rows read the pooled inputs back) and
-  // the pipelined backend (materialized ships row slices through the
-  // shuffle codec).
-  bool use_columnar = options_.backend == BackendKind::kPipelined &&
-                      params.variant != core::CoverVariant::kFlat &&
-                      params.aggregates.empty();
-
-  auto pool_group_columnar = [&](GroupWork* g) {
-    std::map<int32_t, std::vector<std::pair<int64_t, int64_t>>> by_chrom;
-    for (const auto* m : g->members) {
-      const RegionColumns& mc = m->columns(in.schema());
-      for (const auto& c : mc.chunks()) {
-        auto& coords = by_chrom[c.chrom];
-        coords.reserve(coords.size() + (c.end - c.begin));
-        for (size_t i = c.begin; i < c.end; ++i) {
-          coords.emplace_back(mc.left(i), mc.right(i));
-        }
-      }
-    }
-    for (auto& [chrom, coords] : by_chrom) {
-      std::sort(coords.begin(), coords.end());
-      std::vector<int64_t> l(coords.size()), r(coords.size());
-      for (size_t i = 0; i < coords.size(); ++i) {
-        l[i] = coords[i].first;
-        r[i] = coords[i].second;
-      }
-      g->seg_chroms.push_back(chrom);
-      g->seg_l.push_back(std::move(l));
-      g->seg_r.push_back(std::move(r));
-      g->segs.push_back({0, 0});  // placeholder; see GroupWork
-    }
-  };
-
-  // Pool and sort member regions, then find the chromosome segments of the
-  // pooled list.
-  auto pool_group = [](GroupWork* g) {
-    size_t total = 0;
-    for (const auto* m : g->members) total += m->regions.size();
-    g->pooled.reserve(total);
-    for (const auto* m : g->members) {
-      g->pooled.insert(g->pooled.end(), m->regions.begin(),
-                       m->regions.end());
-    }
-    gdm::SortRegions(&g->pooled);
-    size_t i = 0;
-    while (i < g->pooled.size()) {
-      size_t j = i;
-      while (j < g->pooled.size() &&
-             g->pooled[j].chrom == g->pooled[i].chrom) {
-        ++j;
-      }
-      g->segs.push_back({i, j});
-      i = j;
-    }
-  };
-
-  // Per-segment phase state; all flat arrays are indexed by g.seg_offset +
-  // local segment index.
-  struct SegState {
-    std::vector<interval::AccSegment> profile;
-    std::vector<GenomicRegion> inputs;
-    std::vector<GenomicRegion> regions;
-    std::vector<int64_t> counts;
-    std::vector<std::vector<Value>> aggs;
-  };
-
-  // Accumulation profile of one segment, optionally through the shuffle
-  // codec for the materialized backend.
-  auto profile_segment = [&](const GroupWork& g, size_t si, SegState* state,
-                             FirstError* errors) {
-    const Seg& seg = g.segs[si];
-    if (options_.backend == BackendKind::kMaterialized) {
-      std::string buf;
-      trace_.shuffle_bytes.fetch_add(
-          SliceBytes(g.pooled, seg.begin, seg.end, &buf), kRelaxed);
-      auto decoded = RegionCodec::Decode(buf);
-      if (!decoded.ok()) {
-        errors->Capture(decoded.status());
-        return;
-      }
-      state->inputs = std::move(decoded).value();
-    } else {
-      state->inputs.assign(g.pooled.begin() + seg.begin,
-                           g.pooled.begin() + seg.end);
-    }
-    state->profile = interval::AccumulationProfile(state->inputs);
-  };
-
-  // Resolves ANY/ALL against the group's global maximum accumulation.
-  auto resolve_bounds = [&](GroupWork* g, const std::vector<SegState>& states) {
-    int64_t global_max = 0;
-    for (size_t si = 0; si < g->segs.size(); ++si) {
-      global_max = std::max(
-          global_max,
-          interval::MaxAccumulation(states[g->seg_offset + si].profile));
-    }
-    interval::CoverBounds bounds{params.min_acc, params.max_acc};
-    if (bounds.min_acc == interval::CoverBounds::kAll) {
-      bounds.min_acc = global_max;
-    }
-    if (bounds.max_acc == interval::CoverBounds::kAll) {
-      bounds.max_acc = global_max;
-    }
-    if (bounds.min_acc == interval::CoverBounds::kAny) bounds.min_acc = 1;
-    g->bounds = bounds;
-  };
-
-  // Variant computation + aggregates of one segment.
-  auto compute_segment = [&](const GroupWork& g, SegState* state) {
-    std::vector<GenomicRegion> regions;
+  // Variant regions, then aggregates folded over the inputs each region
+  // overlaps, in CollectOverlaps order (OverlapJoin's, the reference's).
+  RunStage("cover:compute", parts.size(), [&](size_t pi) {
+    CoverPart& part = parts[pi];
+    const interval::CoverBounds& bounds = groups[part.group].bounds;
+    const interval::CoordView pooled = part.pooled.view();
+    std::vector<interval::MatchPair> matches;
     std::vector<int64_t> counts;
     switch (params.variant) {
       case core::CoverVariant::kCover:
-        regions = interval::Cover(state->profile, g.bounds);
+        part.regions = interval::Cover(part.profile, bounds);
         break;
       case core::CoverVariant::kFlat:
-        regions = interval::Flat(state->profile, g.bounds, state->inputs);
+        // Each cover region spans the inputs it overlaps; extension can
+        // make neighbours touch, so they merge.
+        part.regions = interval::Cover(part.profile, bounds);
+        interval::CollectOverlaps(Coords64(part.regions).view(), pooled,
+                                  &matches);
+        for (const auto& mp : matches) {
+          GenomicRegion& r = part.regions[mp.ref];
+          r.left = std::min(r.left, part.pooled.left[mp.exp]);
+          r.right = std::max(r.right, part.pooled.right[mp.exp]);
+        }
+        part.regions = interval::MergeTouching(part.regions);
+        matches.clear();
         break;
       case core::CoverVariant::kHistogram:
-        regions = interval::Histogram(state->profile, g.bounds, &counts);
+        part.regions = interval::Histogram(part.profile, bounds, &counts);
         break;
       case core::CoverVariant::kSummit:
-        regions = interval::Summit(state->profile, g.bounds, &counts);
+        part.regions = interval::Summit(part.profile, bounds, &counts);
         break;
     }
-    if (!params.aggregates.empty()) {
-      std::vector<std::vector<AggAccumulator>> accs(regions.size());
-      for (auto& row : accs) {
-        row.reserve(params.aggregates.size());
-        for (const auto& spec : params.aggregates) {
-          row.emplace_back(spec.func);
+    for (size_t oi = 0; oi < counts.size(); ++oi) {
+      part.regions[oi].values.push_back(Value(counts[oi]));
+    }
+    if (specs.empty()) return;
+    std::vector<AggAccumulator> accs;
+    accs.reserve(part.regions.size() * specs.size());
+    for (size_t oi = 0; oi < part.regions.size(); ++oi) {
+      for (const auto& spec : specs) accs.emplace_back(spec.func);
+    }
+    interval::CollectOverlaps(Coords64(part.regions).view(), pooled,
+                              &matches);
+    for (const auto& mp : matches) {
+      for (size_t x = 0; x < specs.size(); ++x) {
+        AggAccumulator& acc = accs[mp.ref * specs.size() + x];
+        if (agg_inputs[x] == SIZE_MAX) {
+          acc.AddRegion();
+        } else {
+          acc.Add(part.values[x][mp.exp]);
         }
       }
-      interval::OverlapJoin(regions, state->inputs, [&](size_t oi, size_t ii) {
-        auto& row = accs[oi];
-        for (size_t a = 0; a < params.aggregates.size(); ++a) {
-          if (agg_inputs[a] == SIZE_MAX) {
-            row[a].AddRegion();
-          } else {
-            row[a].Add(state->inputs[ii].values[agg_inputs[a]]);
-          }
-        }
-      });
-      state->aggs.resize(regions.size());
-      for (size_t oi = 0; oi < regions.size(); ++oi) {
-        for (auto& acc : accs[oi]) state->aggs[oi].push_back(acc.Finish());
+    }
+    for (size_t oi = 0; oi < part.regions.size(); ++oi) {
+      for (size_t x = 0; x < specs.size(); ++x) {
+        part.regions[oi].values.push_back(accs[oi * specs.size() + x].Finish());
       }
     }
-    state->regions = std::move(regions);
-    state->counts = std::move(counts);
-  };
-
-  // Builds the group's output sample from its finished segments.
-  auto assemble = [&](const GroupWork& g, std::vector<SegState>& states) {
-    Sample ns = Operators::DerivedGroupSample(
-        core::CoverVariantName(params.variant), g.members);
-    if (!params.groupby.empty()) ns.metadata.Add(params.groupby, g.key);
-    std::vector<GenomicRegion>& rows = ns.regions.mutable_rows();
-    for (size_t si = 0; si < g.segs.size(); ++si) {
-      SegState& state = states[g.seg_offset + si];
-      for (size_t oi = 0; oi < state.regions.size(); ++oi) {
-        GenomicRegion nr = state.regions[oi];
-        if (with_acc) nr.values.push_back(Value(state.counts[oi]));
-        if (!params.aggregates.empty()) {
-          for (auto& v : state.aggs[oi]) nr.values.push_back(std::move(v));
-        }
-        rows.push_back(std::move(nr));
-      }
-    }
-    return ns;
-  };
-
-  // Pool every group in parallel, then run ONE task list over all
-  // (group x segment) pairs per phase.
-  RunStage("cover:pool", groups.size(), [&](size_t gi) {
-    if (use_columnar) {
-      pool_group_columnar(&groups[gi]);
-    } else {
-      pool_group(&groups[gi]);
-    }
-  });
-  size_t total_segs = 0;
-  std::vector<size_t> seg_group;  // flat segment -> owning group
-  for (size_t gi = 0; gi < groups.size(); ++gi) {
-    groups[gi].seg_offset = total_segs;
-    total_segs += groups[gi].segs.size();
-    seg_group.resize(total_segs, gi);
-  }
-  trace_.partitions.fetch_add(total_segs, kRelaxed);
-
-  std::vector<SegState> states(total_segs);
-  FirstError errors;
-  RunStage("cover:profile", total_segs, [&](size_t fi) {
-    if (errors.failed()) return;
-    const GroupWork& g = groups[seg_group[fi]];
-    size_t si = fi - g.seg_offset;
-    if (use_columnar) {
-      trace_.columnar_tasks.fetch_add(1, kRelaxed);
-      interval::ProfileFromCoords(g.seg_chroms[si], g.seg_l[si].data(),
-                                  g.seg_r[si].data(), g.seg_l[si].size(),
-                                  &states[fi].profile);
-      return;
-    }
-    profile_segment(g, si, &states[fi], &errors);
-  });
-  GDMS_RETURN_NOT_OK(errors.status());
-  if (options_.backend == BackendKind::kMaterialized) {
-    trace_.stage_barriers.fetch_add(1, kRelaxed);
-  }
-
-  for (auto& g : groups) resolve_bounds(&g, states);
-
-  RunStage("cover:compute", total_segs, [&](size_t fi) {
-    compute_segment(groups[seg_group[fi]], &states[fi]);
   });
 
   std::vector<Sample> results(groups.size());
   std::vector<char> emit(groups.size(), 1);
   RunStage("cover:assemble", groups.size(), [&](size_t gi) {
-    Sample ns = assemble(groups[gi], states);
+    const Group& g = groups[gi];
+    Sample ns = Operators::DerivedGroupSample(variant, g.members);
+    if (!params.groupby.empty()) ns.metadata.Add(params.groupby, g.key);
+    std::vector<GenomicRegion>& rows = ns.regions.mutable_rows();
+    for (size_t pi = g.part_begin; pi < g.part_end; ++pi) {
+      for (GenomicRegion& r : parts[pi].regions) rows.push_back(std::move(r));
+    }
     if (fused != nullptr && !tail.ApplySample(&ns)) emit[gi] = 0;
     results[gi] = std::move(ns);
   });

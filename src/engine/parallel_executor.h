@@ -53,9 +53,8 @@ struct EngineTrace {
   std::atomic<uint64_t> shuffle_bytes{0};
   std::atomic<uint64_t> stage_barriers{0};
   /// Compute tasks that ran through a columnar batch kernel instead of a
-  /// row sweep: every MAP and DIFFERENCE task, and the profile tasks of
-  /// COVER when it pools coordinates (pipelined backend, a variant other
-  /// than FLAT, no aggregates). JOIN and the other COVER tasks sweep rows.
+  /// row sweep: every MAP and DIFFERENCE task, and every COVER profile
+  /// task (one per partition, on both backends). JOIN sweeps rows.
   std::atomic<uint64_t> columnar_tasks{0};
 
   void Reset() {
@@ -77,11 +76,13 @@ struct EngineTrace {
 /// sample straight through the chain's consumer stages (SELECT / PROJECT /
 /// EXTEND) inside the producer's assembly tasks — the intermediate dataset
 /// between the logical operators is never allocated. The backend choice
-/// (BackendKind) is one call per operator: MAP and JOIN hand their
+/// (BackendKind) is one call per operator: MAP, JOIN and COVER hand their
 /// partitions to RunPartitionStages, which either computes them in place or
 /// routes them through the shuffle codec behind one barrier. MAP and
 /// DIFFERENCE each have one kernel, a batch sweep over coordinate columns;
-/// COVER pools coordinates whenever its plan needs no rows back.
+/// COVER has one path for every variant and aggregate: per (group x
+/// chromosome) it merges the members' sorted chunk columns and computes
+/// from the merged coordinates.
 /// Results are sample-for-sample equal to the ReferenceExecutor — the
 /// engine tests assert exactly that.
 class ParallelExecutor : public core::Executor {
@@ -108,13 +109,21 @@ class ParallelExecutor : public core::Executor {
  private:
   using Partition = TaskPartition;
   using Regions = std::vector<gdm::GenomicRegion>;
-  /// Computes one partition over refs[rb, re) x exps[eb, ee). The region
-  /// lists are the decoded shuffle slices on the materialized backend and
-  /// null on the pipelined one, where the kernel reads its samples' own
-  /// storage (columns, or rows where it needs them) at those bounds.
+  /// Rows [begin, end) of a region list: one input of a partition.
+  struct RowSlice {
+    const Regions* rows;
+    size_t begin;
+    size_t end;
+  };
+  /// Appends partition `pi`'s input slices to `out`, in a fixed order.
+  using SliceLister =
+      std::function<void(size_t pi, std::vector<RowSlice>* out)>;
+  /// Computes partition `pi`. `decoded` holds the decoded copies of the
+  /// partition's slices, in SliceLister order, on the materialized backend;
+  /// it is null on the pipelined one, where the kernel reads its samples'
+  /// own storage (columns, or rows where it needs them).
   using PartitionKernel =
-      std::function<void(size_t pi, const Regions* refs, size_t rb, size_t re,
-                         const Regions* exps, size_t eb, size_t ee)>;
+      std::function<void(size_t pi, const std::vector<Regions>* decoded)>;
 
   /// Operator dispatch (the switch); Execute wraps it to publish counter
   /// deltas into the metrics registry.
@@ -130,21 +139,20 @@ class ParallelExecutor : public core::Executor {
   void RunStage(const char* name, size_t n,
                 const std::function<void(size_t)>& task);
 
-  /// The backend's stage boundary for the kernels of MAP and JOIN.
-  /// Partition `pi` covers parts[pi]'s ranges of the region lists returned
-  /// by `inputs(pi)`. Pipelined: one `compute_stage` runs `kernel` at
-  /// parts[pi]'s bounds with no region lists, and `inputs` is never called
-  /// (so a columnar kernel never makes a sample build its rows).
-  /// Materialized: `shuffle_stage` encodes both slices of every partition,
+  /// The backend's stage boundary for the kernels of MAP, JOIN and COVER,
+  /// and the engine's only shuffle codec site, over `n` partitions whose
+  /// inputs `slices` lists: MAP and JOIN list two slices, COVER one per
+  /// member chunk. Pipelined: one `compute_stage` runs `kernel` with no
+  /// decoded slices, and `slices` is never called (so a columnar kernel
+  /// never makes a sample build its rows, and no partition allocates).
+  /// Materialized: `shuffle_stage` encodes every slice of every partition,
   /// ONE barrier is counted, the buffers are charged to the active query
-  /// while they live, and `compute_stage` decodes each partition (first
-  /// decode error wins) and runs `kernel` on the copies.
-  Status RunPartitionStages(
-      const char* shuffle_stage, const char* compute_stage,
-      const std::vector<Partition>& parts,
-      const std::function<std::pair<const Regions*, const Regions*>(size_t)>&
-          inputs,
-      const PartitionKernel& kernel);
+  /// while they live, and `compute_stage` decodes each partition's slices
+  /// (first decode error wins) and runs `kernel` on the copies.
+  Status RunPartitionStages(const char* shuffle_stage,
+                            const char* compute_stage, size_t n,
+                            const SliceLister& slices,
+                            const PartitionKernel& kernel);
 
   /// Fused-chain dispatch: the producer's Parallel* overload runs with the
   /// chain's consumer stages bound as a FusedTail.

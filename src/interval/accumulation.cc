@@ -62,7 +62,10 @@ int64_t MaxAccumulation(const std::vector<AccSegment>& profile) {
 
 CoverBounds ResolveBounds(CoverBounds bounds,
                           const std::vector<AccSegment>& profile) {
-  int64_t mx = MaxAccumulation(profile);
+  return ResolveBounds(bounds, MaxAccumulation(profile));
+}
+
+CoverBounds ResolveBounds(CoverBounds bounds, int64_t mx) {
   if (bounds.min_acc == CoverBounds::kAll) bounds.min_acc = mx;
   if (bounds.max_acc == CoverBounds::kAll) bounds.max_acc = mx;
   // kAny for max stays negative (no bound); kAny for min means 1.

@@ -64,6 +64,10 @@ int64_t MaxAccumulation(const std::vector<AccSegment>& profile);
 CoverBounds ResolveBounds(CoverBounds bounds,
                           const std::vector<AccSegment>& profile);
 
+/// Resolves ANY/ALL placeholders against a maximum accumulation (a COVER
+/// group's, over profiles computed per chromosome).
+CoverBounds ResolveBounds(CoverBounds bounds, int64_t max_acc);
+
 }  // namespace gdms::interval
 
 #endif  // GDMS_INTERVAL_ACCUMULATION_H_

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <queue>
+#include <tuple>
 #include <vector>
 
 #include "gdm/region_columns.h"
@@ -61,6 +63,51 @@ void ExistsOverlapInto(const CoordView& refs, const CoordView& exps,
 void ProfileFromCoords(int32_t chrom, const int64_t* lefts,
                        const int64_t* rights, size_t n,
                        std::vector<AccSegment>* out);
+
+/// Rows [begin, end) of a sample's columns: typically one chromosome's
+/// chunk.
+struct ColumnSlice {
+  const gdm::RegionColumns* cols = nullptr;
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// \brief K-way merge of coordinate-sorted slices (one chromosome): calls
+/// emit(slice, row) once per row of every slice, in (left, right, strand)
+/// order, breaking ties by slice index and then row. That is the order a
+/// stable sort of the slices' concatenation yields, without re-sorting rows
+/// that are already in order.
+template <typename Emit>
+void MergeSlices(const std::vector<ColumnSlice>& slices, Emit&& emit) {
+  if (slices.size() == 1) {
+    for (size_t row = slices[0].begin; row < slices[0].end; ++row) {
+      emit(size_t{0}, row);
+    }
+    return;
+  }
+  struct Head {
+    int64_t left, right;
+    uint8_t strand;
+    size_t slice, row;
+  };
+  auto after = [](const Head& a, const Head& b) {
+    return std::tie(a.left, a.right, a.strand, a.slice) >
+           std::tie(b.left, b.right, b.strand, b.slice);
+  };
+  std::priority_queue<Head, std::vector<Head>, decltype(after)> heads(after);
+  auto push = [&](size_t s, size_t row) {
+    if (row == slices[s].end) return;
+    const gdm::RegionColumns& c = *slices[s].cols;
+    heads.push({c.left(row), c.right(row), c.strands()[row], s, row});
+  };
+  for (size_t s = 0; s < slices.size(); ++s) push(s, slices[s].begin);
+  while (!heads.empty()) {
+    Head h = heads.top();
+    heads.pop();
+    emit(h.slice, h.row);
+    push(h.slice, h.row + 1);
+  }
+}
 
 }  // namespace gdms::interval
 

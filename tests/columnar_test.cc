@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <random>
 #include <thread>
 
+#include "core/aggregates.h"
 #include "core/runner.h"
 #include "engine/parallel_executor.h"
 #include "gdm/region_columns.h"
@@ -235,13 +237,62 @@ TEST(BatchKernelTest, ProfileFromCoordsMatchesRowProfile) {
   }
 }
 
+TEST(BatchKernelTest, MergeSlicesEqualsStableSortOfConcatenation) {
+  // Narrow coordinates and three strands make ties within and across
+  // slices; each slice is one chromosome's chunk of columns that also hold
+  // another chromosome, so slices start at nonzero rows too.
+  std::mt19937 rng(19);
+  std::uniform_int_distribution<int64_t> coord(0, 30);
+  std::uniform_int_distribution<int> strand(0, 2);
+  const int32_t chrom = InternChrom("chrM1");
+  const int32_t other = InternChrom("chrM0");
+  RegionSchema schema;
+  for (int round = 0; round < 20; ++round) {
+    const size_t n_slices = 1 + round % 5;
+    std::vector<std::vector<GenomicRegion>> rows(n_slices);
+    std::vector<RegionColumns> cols;
+    cols.reserve(n_slices);
+    std::vector<interval::ColumnSlice> slices;
+    for (size_t sl = 0; sl < n_slices; ++sl) {
+      for (int i = 0; i < 40; ++i) {
+        int64_t left = coord(rng);
+        rows[sl].emplace_back(i % 4 == 0 ? other : chrom, left,
+                              left + coord(rng) % 4,
+                              static_cast<Strand>(strand(rng)));
+      }
+      gdm::SortRegions(&rows[sl]);
+      cols.push_back(RegionColumns::Build(rows[sl], schema));
+      const gdm::ColumnChunk* c = cols.back().FindChunk(chrom);
+      ASSERT_NE(c, nullptr);
+      slices.push_back({&cols.back(), c->begin, c->end});
+    }
+    std::vector<std::pair<size_t, size_t>> want;  // (slice, row)
+    for (size_t sl = 0; sl < n_slices; ++sl) {
+      for (size_t r = slices[sl].begin; r < slices[sl].end; ++r) {
+        want.emplace_back(sl, r);
+      }
+    }
+    std::stable_sort(want.begin(), want.end(),
+                     [&](const auto& a, const auto& b) {
+                       return rows[a.first][a.second].CoordLess(
+                           rows[b.first][b.second]);
+                     });
+    std::vector<std::pair<size_t, size_t>> got;
+    interval::MergeSlices(
+        slices, [&](size_t sl, size_t r) { got.emplace_back(sl, r); });
+    EXPECT_EQ(got, want) << "round " << round;
+  }
+}
+
 // --------------------------------------------------- engine equivalence ---
 
 /// Text serializations of every output of one GMQL program; `exec` null
-/// runs the ReferenceExecutor.
+/// runs the ReferenceExecutor. With `exact`, each output also appears under
+/// "<name>.gdmz" as .gdmz bytes, which keep every double's bits where the
+/// text rounds to six digits.
 std::map<std::string, std::string> RunToText(
     const std::string& gmql, const std::vector<Dataset>& sources,
-    core::Executor* exec) {
+    core::Executor* exec, bool exact = false) {
   core::QueryRunner runner =
       exec != nullptr ? core::QueryRunner(exec) : core::QueryRunner();
   for (const auto& ds : sources) runner.RegisterDataset(ds);
@@ -251,30 +302,37 @@ std::map<std::string, std::string> RunToText(
   if (!results.ok()) return texts;
   for (const auto& [name, ds] : results.value()) {
     texts[name] = io::WriteGdmString(ds);
+    if (exact) texts[name + ".gdmz"] = io::WriteGdmzString(ds);
   }
   return texts;
 }
 
 /// Runs one GMQL program on the engine, under both backends, and on the
-/// ReferenceExecutor, and expects byte-identical text serializations of
-/// every output. The pipelined run must take a columnar kernel.
+/// ReferenceExecutor, and expects identical text and bit-identical values
+/// in every output. The pipelined run must take a columnar kernel; with
+/// `all_columnar`, every partition on both backends must.
 void ExpectColumnarEquals(const std::string& gmql,
                           const std::vector<Dataset>& sources,
-                          size_t threads = 3) {
+                          bool all_columnar = false) {
   std::map<std::string, std::string> reference =
-      RunToText(gmql, sources, nullptr);
+      RunToText(gmql, sources, nullptr, /*exact=*/true);
   ASSERT_FALSE(reference.empty()) << gmql;
   for (auto backend : {engine::BackendKind::kPipelined,
                        engine::BackendKind::kMaterialized}) {
     engine::EngineOptions opt;
-    opt.threads = threads;
+    opt.threads = 3;
     opt.backend = backend;
     engine::ParallelExecutor exec(opt);
-    EXPECT_EQ(RunToText(gmql, sources, &exec), reference)
+    EXPECT_EQ(RunToText(gmql, sources, &exec, /*exact=*/true), reference)
         << engine::BackendKindName(backend) << ": " << gmql;
     if (backend == engine::BackendKind::kPipelined) {
       EXPECT_GT(exec.trace().columnar_tasks.load(), 0u)
           << "columnar kernel not taken for: " << gmql;
+    }
+    if (all_columnar) {
+      EXPECT_EQ(exec.trace().columnar_tasks.load(),
+                exec.trace().partitions.load())
+          << engine::BackendKindName(backend) << ": " << gmql;
     }
   }
 }
@@ -313,12 +371,98 @@ TEST(ColumnarEngineTest, DifferenceEquivalence) {
 }
 
 TEST(ColumnarEngineTest, CoverVariantsEquivalence) {
-  ExpectColumnarEquals("C = COVER(2, ANY) ENCODE; MATERIALIZE C;",
-                       SimSources());
-  ExpectColumnarEquals("H = HISTOGRAM(1, ANY) ENCODE; MATERIALIZE H;",
-                       SimSources());
-  ExpectColumnarEquals("S = SUMMIT(2, 5) ENCODE; MATERIALIZE S;",
-                       SimSources());
+  // Every variant, aggregate and grouping takes the one columnar path, with
+  // one profile task per (group x chromosome) partition on both backends.
+  for (const char* gmql : {
+           "C = COVER(2, ANY) ENCODE; MATERIALIZE C;",
+           "H = HISTOGRAM(1, ANY) ENCODE; MATERIALIZE H;",
+           "S = SUMMIT(2, 5) ENCODE; MATERIALIZE S;",
+           "F = FLAT(2, ANY) ENCODE; MATERIALIZE F;",
+           "A = COVER(1, ANY; n AS COUNT, s AS SUM(signal), a AS AVG(score), "
+           "sd AS STD(signal), md AS MEDIAN(p_value), b AS BAG(name), "
+           "mn AS MIN(name)) ENCODE; MATERIALIZE A;",
+           "G = HISTOGRAM(1, ALL; groupby: lab) ENCODE; MATERIALIZE G;",
+       }) {
+    ExpectColumnarEquals(gmql, SimSources(), /*all_columnar=*/true);
+  }
+}
+
+/// The values of every region of output `R`, in sample and region order.
+std::vector<Value> ValuesOfR(const std::string& gmql, const Dataset& source,
+                             core::Executor* exec) {
+  core::QueryRunner runner =
+      exec != nullptr ? core::QueryRunner(exec) : core::QueryRunner();
+  runner.RegisterDataset(source);
+  auto results = runner.Run(gmql);
+  EXPECT_TRUE(results.ok()) << results.status().ToString();
+  std::vector<Value> values;
+  if (!results.ok()) return values;
+  for (const auto& s : results.value().at("R").samples()) {
+    for (const auto& r : s.regions) {
+      values.insert(values.end(), r.values.begin(), r.values.end());
+    }
+  }
+  return values;
+}
+
+// Regions tied on coordinates but carrying different values: every
+// executor folds them in member order, then row order. The doubles make a
+// sum depend on that order (1e16 + 1 - 1e16), and there are enough ties
+// for an unstable sort to reorder them: with libstdc++'s std::sort, the
+// reference once summed these draws to -78 instead of -69.5.
+TEST(ColumnarEngineTest, CoordinateTiesFoldInMemberOrder) {
+  RegionSchema schema;
+  ASSERT_TRUE(schema.AddAttr("x", AttrType::kDouble).ok());
+  Dataset ties("TIES", schema);
+  const double kDraws[] = {1e16, -1e16, 1.0, 2.5, -3.0};
+  // Fresh names intern in order, so the tied chromosome sorts first.
+  const int32_t tied = InternChrom("chrTiesA");
+  const int32_t apart = InternChrom("chrTiesB");
+  std::mt19937 rng(5);
+  std::vector<double> member_order;  // the tied values, member-major
+  for (int m = 0; m < 3; ++m) {
+    Sample smp(m + 1);
+    for (int i = 0; i < 30; ++i) {
+      GenomicRegion r(tied, 100, 200);
+      member_order.push_back(kDraws[rng() % 5]);
+      r.values = {Value(member_order.back())};
+      smp.regions.push_back(std::move(r));
+    }
+    GenomicRegion other(apart, 10 * m, 10 * m + 15);
+    other.values = {Value(1.0 + m)};
+    smp.regions.push_back(std::move(other));
+    ties.AddSample(std::move(smp));
+  }
+  ASSERT_TRUE(ties.Validate().ok());
+
+  auto fold = [&](core::AggFunc func) {
+    core::AggAccumulator acc(func);
+    for (double x : member_order) acc.Add(Value(x));
+    return acc.Finish();
+  };
+  const char* kCover =
+      "R = COVER(1, ANY; s AS SUM(x), a AS AVG(x), d AS STD(x)) TIES; "
+      "MATERIALIZE R;";
+  const char* kFlat = "R = FLAT(1, ANY; s AS SUM(x)) TIES; MATERIALIZE R;";
+  std::vector<Value> cover = ValuesOfR(kCover, ties, nullptr);
+  std::vector<Value> flat = ValuesOfR(kFlat, ties, nullptr);
+  ASSERT_GE(cover.size(), 3u);
+  ASSERT_GE(flat.size(), 1u);
+  EXPECT_EQ(cover[0].AsDouble(), fold(core::AggFunc::kSum).AsDouble());
+  EXPECT_EQ(cover[1].AsDouble(), fold(core::AggFunc::kAvg).AsDouble());
+  EXPECT_EQ(cover[2].AsDouble(), fold(core::AggFunc::kStd).AsDouble());
+  EXPECT_EQ(flat[0].AsDouble(), fold(core::AggFunc::kSum).AsDouble());
+  for (auto backend : {engine::BackendKind::kPipelined,
+                       engine::BackendKind::kMaterialized}) {
+    engine::EngineOptions opt;
+    opt.threads = 3;
+    opt.backend = backend;
+    engine::ParallelExecutor exec(opt);
+    EXPECT_EQ(ValuesOfR(kCover, ties, &exec), cover)
+        << engine::BackendKindName(backend);
+    EXPECT_EQ(ValuesOfR(kFlat, ties, &exec), flat)
+        << engine::BackendKindName(backend);
+  }
 }
 
 TEST(ColumnarEngineTest, MedianAndBagRunColumnarKernel) {

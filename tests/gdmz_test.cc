@@ -217,28 +217,51 @@ Result<std::string> RunR(const std::string& gmql,
   return WriteGdmString(outputs.at("R"));
 }
 
-/// `blob` (a .gdmz of peaks) with sample `si`'s p_value payload broken:
-/// the span is found through the framing the open recorded, and the mode
-/// byte of its exponent stream is flipped to an unknown mode. The DOUBLE
-/// column is type, validity (all valid here), encoding, then the stream's
-/// length varint and mode.
-std::string BreakPValue(const std::string& blob, size_t si) {
+/// Where sample `si`'s stored span of attribute `attr` starts in `blob` (a
+/// .gdmz of peaks), found through the framing the open recorded; npos when
+/// it is not found. A span is the attribute's type byte, its validity byte
+/// (0 when all valid), then the type's payload.
+size_t AttrSpan(const std::string& blob, size_t si, const std::string& attr) {
   auto clean = ReadGdmzString(blob);
   EXPECT_TRUE(clean.ok()) << clean.status().ToString();
-  if (!clean.ok()) return blob;
-  const size_t p_value = clean.value().schema().IndexOf("p_value").value();
+  if (!clean.ok()) return std::string::npos;
+  const size_t a = clean.value().schema().IndexOf(attr).value();
   const gdm::RegionColumns& cols =
       *clean.value().sample(si).regions.stored_columns();
-  const std::string* held = cols.encoded_attrs();
-  const size_t section = blob.find(*held);
+  const size_t section = blob.find(*cols.encoded_attrs());
   EXPECT_NE(section, std::string::npos);
-  if (section == std::string::npos) return blob;
-  const size_t span = section + cols.encoded_attr_offset(p_value);
-  EXPECT_EQ(blob[span + 1], 0) << "expected an all-valid p_value column";
+  if (section == std::string::npos) return section;
+  EXPECT_EQ(blob[section + cols.encoded_attr_offset(a) + 1], 0)
+      << "expected an all-valid " << attr << " column";
+  return section + cols.encoded_attr_offset(a);
+}
+
+/// `blob` with sample `si`'s p_value payload broken: the mode byte of its
+/// exponent stream is flipped to an unknown mode. A DOUBLE payload is its
+/// encoding byte, then the stream's length varint and mode.
+std::string BreakPValue(const std::string& blob, size_t si) {
+  const size_t span = AttrSpan(blob, si, "p_value");
+  if (span == std::string::npos) return blob;
   size_t mode = span + 3;
   while ((static_cast<uint8_t>(blob[mode]) & 0x80) != 0) ++mode;
   std::string bad = blob;
   bad[mode + 1] ^= 0x40;
+  return bad;
+}
+
+/// `blob` with sample `si`'s name payload broken: the first value of its
+/// front-coded stream claims a prefix shared with a previous value, and
+/// there is none. A front-coded STRING payload is its encoding byte (1),
+/// then the stream's length varint and the stream: per value, the shared
+/// prefix length, the suffix length and the suffix.
+std::string BreakName(const std::string& blob, size_t si) {
+  const size_t span = AttrSpan(blob, si, "name");
+  if (span == std::string::npos) return blob;
+  EXPECT_EQ(blob[span + 2], 1) << "expected a front-coded name column";
+  size_t first = span + 3;
+  while ((static_cast<uint8_t>(blob[first]) & 0x80) != 0) ++first;
+  std::string bad = blob;
+  bad[first + 1] = 0x01;
   return bad;
 }
 
@@ -373,6 +396,53 @@ TEST(GdmzTest, ConcurrentQueriesFailOnlyOnWhatTheyRead) {
     ASSERT_TRUE(got[1].ok()) << got[1].status().ToString();
     EXPECT_EQ(got[1].value(), expected.value());
   }
+}
+
+// COVER over stored samples reads their coordinates and the attributes it
+// aggregates, nothing else: with a corrupt `name` payload, SUM(signal)
+// gives the bits it gives over the intact file and decodes no `name` and
+// no member's rows, while BAG(name) fails on the corrupt column.
+TEST(GdmzTest, StoredCoverReadsOnlyWhatItAggregates) {
+  gdm::Dataset peaks = TextStableDataset();
+  const std::string blob = WriteGdmzString(peaks);
+  const std::string bad = BreakName(blob, 1);
+  const size_t name = peaks.schema().IndexOf("name").value();
+  engine::EngineOptions opt;
+  opt.threads = 2;
+  opt.backend = engine::BackendKind::kPipelined;
+  engine::ParallelExecutor exec(opt);
+  auto run = [&](const char* gmql,
+                 const gdm::Dataset& source) -> Result<std::string> {
+    core::QueryRunner runner(&exec);
+    runner.RegisterDataset(source);
+    GDMS_ASSIGN_OR_RETURN(auto outputs, runner.Run(gmql));
+    return WriteGdmzString(outputs.at("R"));
+  };
+  const char* kSum =
+      "R = COVER(1, ANY; s AS SUM(signal)) ENCODE; MATERIALIZE R;";
+  auto intact = run(kSum, ParseOk(blob));
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+
+  gdm::Dataset stored = ParseOk(bad);
+  auto sum = run(kSum, stored);
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(sum.value(), intact.value());
+  for (const auto& s : stored.samples()) {
+    EXPECT_FALSE(s.regions.rows_built()) << "sample " << s.id;
+    EXPECT_FALSE(s.regions.stored_columns()->attr_built(name))
+        << "sample " << s.id;
+  }
+
+  auto bag = run(
+      "R = COVER(1, ANY; s AS SUM(signal), b AS BAG(name)) ENCODE; "
+      "MATERIALIZE R;",
+      stored);
+  ASSERT_FALSE(bag.ok());
+  const gdm::RegionColumns* cols = stored.sample(1).regions.stored_columns();
+  EXPECT_EQ(bag.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(bag.status().message(),
+            stored.NameReadFailure({cols, name, cols->attr_error(name)})
+                .message());
 }
 
 // A site serving a stored dataset whose column is corrupt fails the remote
