@@ -34,12 +34,15 @@ struct FusedTail::Stage {
   std::vector<size_t> agg_inputs;
 };
 
-Result<FusedTail> FusedTail::Bind(const PlanNode& node,
+Result<FusedTail> FusedTail::Bind(const PlanNode* node,
+                                  const char* producer_name,
                                   const RegionSchema& producer_schema) {
   FusedTail tail;
+  tail.producer_name_ = producer_name;
   tail.schema_ = producer_schema;
-  for (size_t i = 1; i < node.fused_stages.size(); ++i) {
-    const PlanNode& stage_node = *node.fused_stages[i];
+  if (node == nullptr) return tail;
+  for (size_t i = 1; i < node->fused_stages.size(); ++i) {
+    const PlanNode& stage_node = *node->fused_stages[i];
     auto stage = std::make_shared<Stage>();
     stage->kind = stage_node.kind;
     switch (stage_node.kind) {
@@ -98,7 +101,7 @@ Result<FusedTail> FusedTail::Bind(const PlanNode& node,
 }
 
 const char* FusedTail::output_name() const {
-  if (stages_.empty()) return "FUSED";
+  if (stages_.empty()) return producer_name_;
   return OpKindName(stages_.back()->kind);
 }
 

@@ -24,20 +24,21 @@ class FusedTail {
  public:
   FusedTail() = default;
 
-  /// Binds the consumer stages (`node.fused_stages[1..]`) against the
+  /// Binds the consumer stages (`node->fused_stages[1..]`) against the
   /// producer's output schema. Errors mirror the unfused operators (unknown
-  /// attribute in a predicate, projection or aggregate).
-  static Result<FusedTail> Bind(const PlanNode& node,
+  /// attribute in a predicate, projection or aggregate). A null `node`
+  /// binds the empty tail of an unfused producer: it keeps every sample
+  /// and names the output `producer_name`.
+  static Result<FusedTail> Bind(const PlanNode* node,
+                                const char* producer_name,
                                 const gdm::RegionSchema& producer_schema);
 
   /// Region schema after every stage (PROJECT rewrites it; SELECT and
   /// EXTEND pass it through).
   const gdm::RegionSchema& output_schema() const { return schema_; }
 
-  /// Number of consumer stages; 0 means the tail is a no-op.
-  size_t num_stages() const { return stages_.size(); }
-
-  /// Dataset name the final stage's unfused operator would have produced.
+  /// Dataset name the final stage's unfused operator would have produced
+  /// (the producer's name when there is no consumer stage).
   const char* output_name() const;
 
   /// Runs every stage over one finished producer sample, mutating it in
@@ -47,6 +48,7 @@ class FusedTail {
 
  private:
   struct Stage;
+  const char* producer_name_ = "";
   gdm::RegionSchema schema_;
   std::vector<std::shared_ptr<const Stage>> stages_;
 };

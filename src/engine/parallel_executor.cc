@@ -213,8 +213,8 @@ class MapAggState {
 };
 
 /// 64-bit coordinate columns: COVER's merged inputs, or the coordinates of
-/// a region list lifted out for a batch kernel (decoded shuffle slices and
-/// COVER's output regions carry no RegionColumns).
+/// its output regions, which carry no RegionColumns, lifted out for a batch
+/// kernel.
 struct Coords64 {
   Coords64() = default;
   explicit Coords64(const std::vector<GenomicRegion>& rows) {
@@ -326,7 +326,11 @@ Status ParallelExecutor::RunPartitionStages(const char* shuffle_stage,
                                             const SliceLister& slices,
                                             const PartitionKernel& kernel) {
   if (options_.backend == BackendKind::kPipelined) {
-    RunStage(compute_stage, n, [&](size_t pi) { kernel(pi, nullptr); });
+    RunStage(compute_stage, n, [&](size_t pi) {
+      std::vector<Slice> in;
+      slices(pi, &in);
+      kernel(pi, in);
+    });
     return Status::OK();
   }
   // Stage 1: serialize every slice of every partition (the shuffle write);
@@ -334,12 +338,12 @@ Status ParallelExecutor::RunPartitionStages(const char* shuffle_stage,
   std::vector<std::vector<std::string>> buffers(n);
   std::atomic<uint64_t> held{0};
   RunStage(shuffle_stage, n, [&](size_t pi) {
-    std::vector<RowSlice> in;
+    std::vector<Slice> in;
     slices(pi, &in);
     buffers[pi].resize(in.size());
     uint64_t bytes = 0;
     for (size_t s = 0; s < in.size(); ++s) {
-      RegionCodec::Encode(*in[s].rows, in[s].begin, in[s].end,
+      RegionCodec::Encode(in[s].store->rows(), in[s].begin, in[s].end,
                           &buffers[pi][s]);
       bytes += buffers[pi][s].size();
     }
@@ -353,7 +357,7 @@ Status ParallelExecutor::RunPartitionStages(const char* shuffle_stage,
   FirstError errors;
   RunStage(compute_stage, n, [&](size_t pi) {
     if (errors.failed()) return;
-    std::vector<Regions> decoded;
+    std::vector<gdm::RegionStore> decoded;
     decoded.reserve(buffers[pi].size());
     for (const std::string& buf : buffers[pi]) {
       auto rows = RegionCodec::Decode(buf);
@@ -361,11 +365,33 @@ Status ParallelExecutor::RunPartitionStages(const char* shuffle_stage,
         errors.Capture(rows.status());
         return;
       }
-      decoded.push_back(std::move(rows).value());
+      decoded.emplace_back(std::move(rows).value());
     }
-    kernel(pi, &decoded);
+    std::vector<Slice> in;
+    for (const gdm::RegionStore& store : decoded) {
+      in.push_back({&store, 0, store.size()});
+    }
+    kernel(pi, in);
   });
   return errors.status();
+}
+
+Result<Dataset> ParallelExecutor::EmitStage(
+    const char* stage, size_t n, const core::PlanNode* fused,
+    const char* name, const RegionSchema& schema,
+    const std::function<Sample(size_t)>& build) {
+  GDMS_ASSIGN_OR_RETURN(FusedTail tail, FusedTail::Bind(fused, name, schema));
+  std::vector<Sample> results(n);
+  std::vector<char> keep(n, 0);
+  RunStage(stage, n, [&](size_t i) {
+    results[i] = build(i);
+    keep[i] = tail.ApplySample(&results[i]);
+  });
+  Dataset out(tail.output_name(), tail.output_schema());
+  for (size_t i = 0; i < n; ++i) {
+    if (keep[i]) out.AddSample(std::move(results[i]));
+  }
+  return out;
 }
 
 Result<gdm::Dataset> ParallelExecutor::ExecuteOp(
@@ -418,12 +444,6 @@ Result<gdm::Dataset> ParallelExecutor::ExecuteFused(
 Result<gdm::Dataset> ParallelExecutor::ParallelSelect(
     const core::SelectParams& params, const Dataset& in,
     const core::PlanNode* fused) {
-  FusedTail tail;
-  if (fused != nullptr) {
-    GDMS_ASSIGN_OR_RETURN(tail, FusedTail::Bind(*fused, in.schema()));
-  }
-  Dataset out(fused != nullptr ? tail.output_name() : "SELECT",
-              fused != nullptr ? tail.output_schema() : in.schema());
   core::RegionPredicate::Ptr pred = params.region->Clone();
   GDMS_RETURN_NOT_OK(pred->Bind(in.schema()));
   // Metadata pass is cheap and sequential ("meta-first" evaluation).
@@ -431,32 +451,19 @@ Result<gdm::Dataset> ParallelExecutor::ParallelSelect(
   for (const auto& s : in.samples()) {
     if (params.meta->Eval(s.metadata)) kept.push_back(&s);
   }
-  std::vector<Sample> results(kept.size());
-  std::vector<char> emit(kept.size(), 1);
-  RunStage("select:samples", kept.size(), [&](size_t si) {
-    const Sample& s = *kept[si];
-    Sample ns(s.id);
-    ns.metadata = s.metadata;
-    ns.regions = core::SelectRegions(s.regions, *pred);
-    if (fused != nullptr && !tail.ApplySample(&ns)) emit[si] = 0;
-    results[si] = std::move(ns);
-  });
-  for (size_t si = 0; si < results.size(); ++si) {
-    if (emit[si]) out.AddSample(std::move(results[si]));
-  }
-  return out;
+  auto select = [&](size_t si) {
+    Sample ns(kept[si]->id);
+    ns.metadata = kept[si]->metadata;
+    ns.regions = core::SelectRegions(kept[si]->regions, *pred);
+    return ns;
+  };
+  return EmitStage("select:samples", kept.size(), fused, "SELECT", in.schema(),
+                   select);
 }
 
 Result<gdm::Dataset> ParallelExecutor::ParallelDifference(
     const core::DifferenceParams& params, const Dataset& left,
     const Dataset& right, const core::PlanNode* fused) {
-  FusedTail tail;
-  if (fused != nullptr) {
-    GDMS_ASSIGN_OR_RETURN(tail, FusedTail::Bind(*fused, left.schema()));
-  }
-  Dataset out(fused != nullptr ? tail.output_name() : "DIFFERENCE",
-              fused != nullptr ? tail.output_schema() : left.schema());
-
   // Tasks span (left sample x chromosome). Negatives are merged per
   // chromosome as bare coordinates out of each matched right sample's
   // sorted chunk columns (no Value payload copies), and the exists-sweep
@@ -533,21 +540,16 @@ Result<gdm::Dataset> ParallelExecutor::ParallelDifference(
     }
   });
 
-  std::vector<Sample> results(left.num_samples());
-  std::vector<char> emit(left.num_samples(), 1);
-  RunStage("difference:assemble", left.num_samples(), [&](size_t si) {
+  auto assemble = [&](size_t si) {
     const Sample& ls = left.sample(si);
     Sample ns(ls.id);
     ns.metadata = ls.metadata;
     ns.regions =
         matched[si].empty() ? ls.regions : ls.regions.Filtered(keep[si]);
-    if (fused != nullptr && !tail.ApplySample(&ns)) emit[si] = 0;
-    results[si] = std::move(ns);
-  });
-  for (size_t si = 0; si < results.size(); ++si) {
-    if (emit[si]) out.AddSample(std::move(results[si]));
-  }
-  return out;
+    return ns;
+  };
+  return EmitStage("difference:assemble", left.num_samples(), fused,
+                   "DIFFERENCE", left.schema(), assemble);
 }
 
 Result<gdm::Dataset> ParallelExecutor::ParallelMap(
@@ -558,34 +560,22 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
                         core::ResolveAggInputs(specs, exp.schema()));
   GDMS_ASSIGN_OR_RETURN(RegionSchema schema,
                         Operators::MapOutputSchema(params, ref.schema()));
-  FusedTail tail;
-  if (fused != nullptr) {
-    GDMS_ASSIGN_OR_RETURN(tail, FusedTail::Bind(*fused, schema));
-  }
-  Dataset out(fused != nullptr ? tail.output_name() : "MAP",
-              fused != nullptr ? tail.output_schema() : schema);
 
   auto pair_idx = MatchJoinbyPairs(ref, exp, params.joinby);
 
-  // ONE task list spanning every pair x partition, and one compute step for
-  // both backends: the batch kernel sweeps packed coordinate columns (no
-  // Value payloads in the cache lines), buffers the match list, and folds
-  // each aggregate's input over it into per-ref-row state; rows are only
-  // touched again at assembly. Match emission order equals the reference
-  // sweep's, so double accumulation is bit-identical.
+  // ONE task list spanning every pair x partition: the batch kernel sweeps
+  // packed coordinate columns (no Value payloads in the cache lines),
+  // buffers the match list, and folds each aggregate's input over it into
+  // per-ref-row state; rows are only touched again at assembly. Match
+  // emission order equals the reference sweep's, so double accumulation is
+  // bit-identical.
   //
-  // Pipelined partitions are chunk-aligned: one task per ref chromosome
-  // present on both sides, straight from the columns' chunk directories,
-  // with no duplicated exp boundary rows. Materialized partitions keep the
-  // bin partitioner (ref chunks are computed once per distinct ref sample
-  // and bound to the exp sample's chunk directory), so its shuffle figures
-  // are those of the slices it encodes.
-  const bool pipelined = options_.backend == BackendKind::kPipelined;
+  // Partitions are chunk-aligned: one task per ref chromosome present on
+  // both sides, straight from the columns' chunk directories, with no
+  // duplicated exp boundary rows.
   struct PairState {
     const Sample* rs;
     const Sample* es;
-    const RegionColumns* rcols = nullptr;  // pipelined only
-    const RegionColumns* ecols = nullptr;
     std::vector<int64_t> match_count;  // per ref row
     std::vector<MapAggState> aggs;     // per spec
   };
@@ -593,22 +583,15 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
   pairs.reserve(pair_idx.size());
   std::vector<Partition> parts;
   std::vector<size_t> owner;  // parts[i] belongs to pairs[owner[i]]
-  RefChunkCache chunks(options_.bin_size);
   for (const auto& [l, r] : pair_idx) {
     PairState ps;
     ps.rs = &ref.sample(l);
     ps.es = &exp.sample(r);
-    ps.ecols = &ps.es->columns(exp.schema());
-    if (pipelined) {
-      ps.rcols = &ps.rs->columns(ref.schema());
-      for (const ColumnChunk& rc : ps.rcols->chunks()) {
-        const ColumnChunk* ec = ps.ecols->FindChunk(rc.chrom);
-        if (ec == nullptr) continue;  // refs still assemble, zero matches
-        parts.push_back({rc.begin, rc.end, ec->begin, ec->end});
-      }
-    } else {
-      auto bound = BindPartitions(chunks.ChunksFor(*ps.rs), *ps.ecols, 0);
-      parts.insert(parts.end(), bound.begin(), bound.end());
+    const RegionColumns& ecols = ps.es->columns(exp.schema());
+    for (const ColumnChunk& rc : ps.rs->columns(ref.schema()).chunks()) {
+      const ColumnChunk* ec = ecols.FindChunk(rc.chrom);
+      if (ec == nullptr) continue;  // refs still assemble, zero matches
+      parts.push_back({rc.begin, rc.end, ec->begin, ec->end});
     }
     size_t rows = ps.rs->regions.size();
     ps.match_count.assign(rows, 0);
@@ -623,57 +606,39 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
 
   GDMS_RETURN_NOT_OK(RunPartitionStages(
       "map:shuffle-write", "map:compute", parts.size(),
-      [&](size_t pi, std::vector<RowSlice>* slices) {
+      [&](size_t pi, std::vector<Slice>* in) {
         const PairState& ps = pairs[owner[pi]];
         const Partition& part = parts[pi];
-        slices->push_back(
-            {&ps.rs->regions.rows(), part.ref_begin, part.ref_end});
-        slices->push_back(
-            {&ps.es->regions.rows(), part.exp_begin, part.exp_end});
+        in->push_back({&ps.rs->regions, part.ref_begin, part.ref_end});
+        in->push_back({&ps.es->regions, part.exp_begin, part.exp_end});
       },
-      [&](size_t pi, const std::vector<Regions>* decoded) {
+      [&](size_t pi, const std::vector<Slice>& in) {
         PairState& ps = pairs[owner[pi]];
-        const Partition& part = parts[pi];
         trace_.columnar_tasks.fetch_add(1, kRelaxed);
+        const RegionColumns& rcols = in[0].store->columns(ref.schema());
+        const RegionColumns& ecols = in[1].store->columns(exp.schema());
         std::vector<interval::MatchPair> matches;
-        if (decoded == nullptr) {
-          interval::CollectOverlaps(
-              interval::CoordView::Of(*ps.rcols, part.ref_begin, part.ref_end),
-              interval::CoordView::Of(*ps.ecols, part.exp_begin, part.exp_end),
-              &matches);
-        } else {
-          interval::CollectOverlaps(Coords64((*decoded)[0]).view(),
-                                    Coords64((*decoded)[1]).view(), &matches);
-        }
+        interval::CollectOverlaps(
+            interval::CoordView::Of(rcols, in[0].begin, in[0].end),
+            interval::CoordView::Of(ecols, in[1].begin, in[1].end),
+            &matches);
         // Ref rows are disjoint across partitions, so the per-pair arrays
         // need no synchronization.
-        size_t ref_offset = part.ref_begin;
+        size_t ref_offset = parts[pi].ref_begin;
         for (const auto& mp : matches) {
           ++ps.match_count[ref_offset + mp.ref];
         }
         for (size_t x = 0; x < specs.size(); ++x) {
           if (specs[x].func == AggFunc::kCount) continue;
-          size_t a = agg_inputs[x];
-          if (decoded == nullptr) {
-            ps.aggs[x].AddMatches(matches, ps.ecols->attr(a), ref_offset,
-                                  part.exp_begin);
-          } else {
-            // The decoded slice is this partition's copy of the exp rows.
-            ps.aggs[x].AddMatches(
-                matches,
-                gdm::ValueColumn::Build((*decoded)[1], a,
-                                        exp.schema().attr(a).type),
-                ref_offset, 0);
-          }
+          ps.aggs[x].AddMatches(matches, ecols.attr(agg_inputs[x]),
+                                ref_offset, in[1].begin);
         }
       }));
 
-  std::vector<Sample> results(pairs.size());
-  std::vector<char> emit(pairs.size(), 1);
-  RunStage("map:assemble", pairs.size(), [&](size_t p) {
+  auto assemble = [&](size_t p) {
     const PairState& ps = pairs[p];
     Sample ns = Operators::DerivedSample("MAP", *ps.rs, *ps.es, false);
-    const Regions& src_rows = ps.rs->regions.rows();
+    const std::vector<GenomicRegion>& src_rows = ps.rs->regions.rows();
     std::vector<GenomicRegion>& rows = ns.regions.mutable_rows();
     rows.reserve(src_rows.size());
     for (size_t ri = 0; ri < src_rows.size(); ++ri) {
@@ -687,13 +652,10 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
       }
       rows.push_back(std::move(nr));
     }
-    if (fused != nullptr && !tail.ApplySample(&ns)) emit[p] = 0;
-    results[p] = std::move(ns);
-  });
-  for (size_t p = 0; p < results.size(); ++p) {
-    if (emit[p]) out.AddSample(std::move(results[p]));
-  }
-  return out;
+    return ns;
+  };
+  return EmitStage("map:assemble", pairs.size(), fused, "MAP", schema,
+                   assemble);
 }
 
 Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
@@ -705,28 +667,16 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
   }
   RegionSchema schema =
       Operators::JoinOutputSchema(left.schema(), right.schema());
-  FusedTail tail;
-  if (fused != nullptr) {
-    GDMS_ASSIGN_OR_RETURN(tail, FusedTail::Bind(*fused, schema));
-  }
-  Dataset out(fused != nullptr ? tail.output_name() : "JOIN",
-              fused != nullptr ? tail.output_schema() : schema);
   auto pair_idx = MatchJoinbyPairs(left, right, params.joinby);
-  std::vector<Sample> results(pair_idx.size());
 
   if (params.predicate.md_k > 0) {
     // MD(k) crosses partition boundaries; parallelize over pairs only.
-    std::vector<char> emit(pair_idx.size(), 1);
-    RunStage("join:md-pairs", pair_idx.size(), [&](size_t p) {
-      Sample ns = Operators::JoinPair(params, left.sample(pair_idx[p].first),
-                                      right.sample(pair_idx[p].second));
-      if (fused != nullptr && !tail.ApplySample(&ns)) emit[p] = 0;
-      results[p] = std::move(ns);
-    });
-    for (size_t p = 0; p < results.size(); ++p) {
-      if (emit[p]) out.AddSample(std::move(results[p]));
-    }
-    return out;
+    auto join_pair = [&](size_t p) {
+      return Operators::JoinPair(params, left.sample(pair_idx[p].first),
+                                 right.sample(pair_idx[p].second));
+    };
+    return EmitStage("join:md-pairs", pair_idx.size(), fused, "JOIN", schema,
+                     join_pair);
   }
 
   int64_t window = std::max<int64_t>(0, params.predicate.max_dist) + 1;
@@ -761,33 +711,23 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
   std::vector<std::vector<GenomicRegion>> chunk_out(parts.size());
   GDMS_RETURN_NOT_OK(RunPartitionStages(
       "join:shuffle-write", "join:compute", parts.size(),
-      [&](size_t pi, std::vector<RowSlice>* slices) {
+      [&](size_t pi, std::vector<Slice>* in) {
         const PairState& ps = pairs[owner[pi]];
         const Partition& part = parts[pi];
-        slices->push_back(
-            {&ps.ls->regions.rows(), part.ref_begin, part.ref_end});
-        slices->push_back(
-            {&ps.rs->regions.rows(), part.exp_begin, part.exp_end});
+        in->push_back({&ps.ls->regions, part.ref_begin, part.ref_end});
+        in->push_back({&ps.rs->regions, part.exp_begin, part.exp_end});
       },
-      [&](size_t pi, const std::vector<Regions>* decoded) {
-        const PairState& ps = pairs[owner[pi]];
-        Partition part = parts[pi];
-        const Regions* lv = &ps.ls->regions.rows();
-        const Regions* rv = &ps.rs->regions.rows();
-        if (decoded != nullptr) {
-          lv = &(*decoded)[0];
-          rv = &(*decoded)[1];
-          part = {0, lv->size(), 0, rv->size()};
-        }
-        SliceSweep(*lv, part.ref_begin, part.ref_end, *rv, part.exp_begin,
-                   part.exp_end, window, [&](size_t i, size_t a) {
-                     Operators::JoinEmit(params, (*lv)[i], (*rv)[a],
+      [&](size_t pi, const std::vector<Slice>& in) {
+        const std::vector<GenomicRegion>& lv = in[0].store->rows();
+        const std::vector<GenomicRegion>& rv = in[1].store->rows();
+        SliceSweep(lv, in[0].begin, in[0].end, rv, in[1].begin, in[1].end,
+                   window, [&](size_t i, size_t a) {
+                     Operators::JoinEmit(params, lv[i], rv[a],
                                          &chunk_out[pi]);
                    });
       }));
 
-  std::vector<char> emit(pairs.size(), 1);
-  RunStage("join:assemble", pairs.size(), [&](size_t p) {
+  auto assemble = [&](size_t p) {
     const PairState& ps = pairs[p];
     Sample ns = Operators::DerivedSample("JOIN", *ps.ls, *ps.rs, true);
     std::vector<GenomicRegion>& rows = ns.regions.mutable_rows();
@@ -796,13 +736,10 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
                   std::make_move_iterator(chunk_out[pi].end()));
     }
     ns.SortNow();
-    if (fused != nullptr && !tail.ApplySample(&ns)) emit[p] = 0;
-    results[p] = std::move(ns);
-  });
-  for (size_t p = 0; p < results.size(); ++p) {
-    if (emit[p]) out.AddSample(std::move(results[p]));
-  }
-  return out;
+    return ns;
+  };
+  return EmitStage("join:assemble", pairs.size(), fused, "JOIN", schema,
+                   assemble);
 }
 
 Result<gdm::Dataset> ParallelExecutor::ParallelCover(
@@ -812,13 +749,7 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
   GDMS_ASSIGN_OR_RETURN(std::vector<size_t> agg_inputs,
                         core::ResolveAggInputs(specs, in.schema()));
   RegionSchema schema = Operators::CoverOutputSchema(params);
-  FusedTail tail;
-  if (fused != nullptr) {
-    GDMS_ASSIGN_OR_RETURN(tail, FusedTail::Bind(*fused, schema));
-  }
   const char* variant = core::CoverVariantName(params.variant);
-  Dataset out(fused != nullptr ? tail.output_name() : variant,
-              fused != nullptr ? tail.output_schema() : schema);
 
   // Partitions are (group x chromosome), one per chromosome present in any
   // member's chunk directory. Each merges its members' sorted chunk rows,
@@ -826,15 +757,10 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
   // later step reads only the merged coordinates and the aggregate inputs
   // gathered in that order, so no stage builds a member's rows on the
   // pipelined backend.
-  struct MemberChunk {
-    const Sample* member;
-    size_t begin;
-    size_t end;
-  };
   struct CoverPart {
     size_t group;
     int32_t chrom;
-    std::vector<MemberChunk> chunks;         // in member order
+    std::vector<Slice> chunks;               // in member order
     Coords64 pooled;                         // the merged member rows
     std::vector<std::vector<Value>> values;  // per aggregate, merged order
     std::vector<interval::AccSegment> profile;
@@ -856,10 +782,10 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
   std::vector<Group> groups;
   std::vector<CoverPart> parts;
   for (auto& [key, members] : group_map) {
-    std::map<int32_t, std::vector<MemberChunk>> by_chrom;
+    std::map<int32_t, std::vector<Slice>> by_chrom;
     for (const Sample* m : members) {
       for (const ColumnChunk& c : m->columns(in.schema()).chunks()) {
-        by_chrom[c.chrom].push_back({m, c.begin, c.end});
+        by_chrom[c.chrom].push_back({&m->regions, c.begin, c.end});
       }
     }
     groups.push_back({key, std::move(members), parts.size(), 0, {}});
@@ -875,28 +801,15 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
 
   GDMS_RETURN_NOT_OK(RunPartitionStages(
       "cover:shuffle-write", "cover:profile", parts.size(),
-      [&](size_t pi, std::vector<RowSlice>* slices) {
-        for (const MemberChunk& c : parts[pi].chunks) {
-          slices->push_back({&c.member->regions.rows(), c.begin, c.end});
-        }
+      [&](size_t pi, std::vector<Slice>* slices) {
+        *slices = parts[pi].chunks;
       },
-      [&](size_t pi, const std::vector<Regions>* decoded) {
+      [&](size_t pi, const std::vector<Slice>& members) {
         CoverPart& part = parts[pi];
         trace_.columnar_tasks.fetch_add(1, kRelaxed);
-        // The members' own columns at their chunk bounds, or columns over
-        // the decoded copies of those chunks.
-        std::vector<RegionColumns> copies;
         std::vector<ColumnSlice> chunks;
-        if (decoded == nullptr) {
-          for (const MemberChunk& c : part.chunks) {
-            chunks.push_back({&c.member->columns(in.schema()), c.begin, c.end});
-          }
-        } else {
-          copies.reserve(decoded->size());
-          for (const Regions& rows : *decoded) {
-            copies.push_back(RegionColumns::Build(rows, in.schema()));
-            chunks.push_back({&copies.back(), 0, rows.size()});
-          }
+        for (const Slice& m : members) {
+          chunks.push_back({&m.store->columns(in.schema()), m.begin, m.end});
         }
         // inputs[c * specs + x]: chunk c's column of aggregate x's input.
         std::vector<const gdm::ValueColumn*> inputs;
@@ -994,9 +907,7 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
     }
   });
 
-  std::vector<Sample> results(groups.size());
-  std::vector<char> emit(groups.size(), 1);
-  RunStage("cover:assemble", groups.size(), [&](size_t gi) {
+  auto assemble = [&](size_t gi) {
     const Group& g = groups[gi];
     Sample ns = Operators::DerivedGroupSample(variant, g.members);
     if (!params.groupby.empty()) ns.metadata.Add(params.groupby, g.key);
@@ -1004,13 +915,10 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
     for (size_t pi = g.part_begin; pi < g.part_end; ++pi) {
       for (GenomicRegion& r : parts[pi].regions) rows.push_back(std::move(r));
     }
-    if (fused != nullptr && !tail.ApplySample(&ns)) emit[gi] = 0;
-    results[gi] = std::move(ns);
-  });
-  for (size_t gi = 0; gi < results.size(); ++gi) {
-    if (emit[gi]) out.AddSample(std::move(results[gi]));
-  }
-  return out;
+    return ns;
+  };
+  return EmitStage("cover:assemble", groups.size(), fused, variant, schema,
+                   assemble);
 }
 
 }  // namespace gdms::engine

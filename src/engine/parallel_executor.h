@@ -32,7 +32,7 @@ const char* BackendKindName(BackendKind kind);
 struct EngineOptions {
   /// Worker threads; 0 = hardware concurrency.
   size_t threads = 0;
-  /// Genomic bin width for range-partitioning within a chromosome.
+  /// Genomic bin width of JOIN's range partitions within a chromosome.
   int64_t bin_size = 5000000;
   BackendKind backend = BackendKind::kPipelined;
 };
@@ -74,15 +74,16 @@ struct EngineTrace {
 /// Each operator runs its full pair x partition cross product as one flat
 /// task list per stage, and fused plan nodes (kFused) pipe each finished
 /// sample straight through the chain's consumer stages (SELECT / PROJECT /
-/// EXTEND) inside the producer's assembly tasks — the intermediate dataset
-/// between the logical operators is never allocated. The backend choice
-/// (BackendKind) is one call per operator: MAP, JOIN and COVER hand their
-/// partitions to RunPartitionStages, which either computes them in place or
-/// routes them through the shuffle codec behind one barrier. MAP and
-/// DIFFERENCE each have one kernel, a batch sweep over coordinate columns;
-/// COVER has one path for every variant and aggregate: per (group x
-/// chromosome) it merges the members' sorted chunk columns and computes
-/// from the merged coordinates.
+/// EXTEND) inside the producer's output stage — the intermediate dataset
+/// between the logical operators is never allocated. Every operator body
+/// has one kernel and one output stage (EmitStage, the one place the fused
+/// tail is bound and applied). The backend (BackendKind) is chosen in one
+/// place, RunPartitionStages: MAP, JOIN and COVER list the same input
+/// slices and run the same kernels on both backends, and the materialized
+/// backend only adds the shuffle round trip in front of the kernel. MAP and
+/// DIFFERENCE sweep coordinate columns per chromosome; COVER, for every
+/// variant and aggregate, merges the members' sorted chunk columns per
+/// (group x chromosome) and computes from the merged coordinates.
 /// Results are sample-for-sample equal to the ReferenceExecutor — the
 /// engine tests assert exactly that.
 class ParallelExecutor : public core::Executor {
@@ -108,22 +109,17 @@ class ParallelExecutor : public core::Executor {
 
  private:
   using Partition = TaskPartition;
-  using Regions = std::vector<gdm::GenomicRegion>;
-  /// Rows [begin, end) of a region list: one input of a partition.
-  struct RowSlice {
-    const Regions* rows;
+  /// Rows [begin, end) of a region store: one input of a partition.
+  struct Slice {
+    const gdm::RegionStore* store;
     size_t begin;
     size_t end;
   };
   /// Appends partition `pi`'s input slices to `out`, in a fixed order.
-  using SliceLister =
-      std::function<void(size_t pi, std::vector<RowSlice>* out)>;
-  /// Computes partition `pi`. `decoded` holds the decoded copies of the
-  /// partition's slices, in SliceLister order, on the materialized backend;
-  /// it is null on the pipelined one, where the kernel reads its samples'
-  /// own storage (columns, or rows where it needs them).
+  using SliceLister = std::function<void(size_t pi, std::vector<Slice>* out)>;
+  /// Computes partition `pi` from its input slices, in SliceLister order.
   using PartitionKernel =
-      std::function<void(size_t pi, const std::vector<Regions>* decoded)>;
+      std::function<void(size_t pi, const std::vector<Slice>& in)>;
 
   /// Operator dispatch (the switch); Execute wraps it to publish counter
   /// deltas into the metrics registry.
@@ -139,20 +135,32 @@ class ParallelExecutor : public core::Executor {
   void RunStage(const char* name, size_t n,
                 const std::function<void(size_t)>& task);
 
-  /// The backend's stage boundary for the kernels of MAP, JOIN and COVER,
-  /// and the engine's only shuffle codec site, over `n` partitions whose
-  /// inputs `slices` lists: MAP and JOIN list two slices, COVER one per
-  /// member chunk. Pipelined: one `compute_stage` runs `kernel` with no
-  /// decoded slices, and `slices` is never called (so a columnar kernel
-  /// never makes a sample build its rows, and no partition allocates).
-  /// Materialized: `shuffle_stage` encodes every slice of every partition,
-  /// ONE barrier is counted, the buffers are charged to the active query
-  /// while they live, and `compute_stage` decodes each partition's slices
-  /// (first decode error wins) and runs `kernel` on the copies.
+  /// The one place the backend is chosen: the stage boundary for the
+  /// kernels of MAP, JOIN and COVER, and the engine's only shuffle codec
+  /// site, over `n` partitions whose inputs `slices` lists: MAP and JOIN
+  /// list two slices, COVER one per member chunk. Pipelined: one
+  /// `compute_stage` runs `kernel` on the listed slices, which point into
+  /// the input samples' own stores (listing reads no rows, so a
+  /// column-primary sample never builds them, and nothing is copied).
+  /// Materialized: `shuffle_stage` encodes the rows of every slice of
+  /// every partition, ONE barrier is counted, the buffers are charged to
+  /// the active query while they live, and `compute_stage` decodes each
+  /// partition's buffers into stores (first decode error wins) and runs
+  /// `kernel` on slices spanning them. Kernels read `store->columns()` or
+  /// `store->rows()` the same way on both backends.
   Status RunPartitionStages(const char* shuffle_stage,
                             const char* compute_stage, size_t n,
                             const SliceLister& slices,
                             const PartitionKernel& kernel);
+
+  /// Every operator's output stage, `stage`, over `n` output samples: task
+  /// i builds sample i and runs the fused tail of `fused` (none when null)
+  /// on it; the samples the tail keeps form the result, in index order. The
+  /// tail binds against the producer's `name` and `schema`.
+  Result<gdm::Dataset> EmitStage(
+      const char* stage, size_t n, const core::PlanNode* fused,
+      const char* name, const gdm::RegionSchema& schema,
+      const std::function<gdm::Sample(size_t)>& build);
 
   /// Fused-chain dispatch: the producer's Parallel* overload runs with the
   /// chain's consumer stages bound as a FusedTail.
@@ -161,8 +169,7 @@ class ParallelExecutor : public core::Executor {
       const std::vector<const gdm::Dataset*>& inputs);
 
   /// The `fused` parameter, when non-null, is the kFused plan node whose
-  /// tail stages must be applied to every finished output sample; each
-  /// operator binds the tail against its own output schema.
+  /// tail stages EmitStage applies to every finished output sample.
   Result<gdm::Dataset> ParallelSelect(const core::SelectParams& params,
                                       const gdm::Dataset& in,
                                       const core::PlanNode* fused = nullptr);

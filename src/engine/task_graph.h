@@ -19,8 +19,9 @@ namespace gdms::engine {
 /// runs it through a single ParallelFor instead of looping pairs
 /// sequentially. These helpers build that list cheaply: pair enumeration is
 /// hash-grouped on the joinby key (O(S) expected instead of the O(S^2)
-/// nested metadata scan) and per-pair partitioning reuses bin chunks of the
-/// shared ref sample plus the chunk directory of the exp sample's columns.
+/// nested metadata scan) and JOIN's per-pair partitioning reuses bin chunks
+/// of the shared ref sample plus the chunk directory of the exp sample's
+/// columns. (MAP, DIFFERENCE and COVER partition by chromosome chunk.)
 
 /// One (ref-chunk, exp-range) partition: the unit of the flat task list.
 struct TaskPartition {

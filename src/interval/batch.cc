@@ -8,13 +8,14 @@ namespace gdms::interval {
 namespace {
 
 /// Same structure as WindowSweep(window = 0) in sweep.cc, specialized to one
-/// chromosome and dense coordinate arrays: admission (el[j] < ref right),
-/// prune (er[a] > ref left), emit in active-list order. The admission
-/// re-test equals the Overlaps predicate at window 0, so the emitted pair
-/// set and order are exactly the row kernel's.
-template <typename T>
-void CollectOverlapsImpl(const T* rl, const T* rr, size_t n, const T* el,
-                         const T* er, size_t m, std::vector<MatchPair>* out) {
+/// chromosome and dense coordinate arrays of either width: admission
+/// (el[j] < ref right), prune (er[a] > ref left), then match(i, a) for each
+/// overlapping active exp in active-list order, until it returns true. The
+/// admission re-test equals the Overlaps predicate at window 0, so the
+/// matched pair set and order are exactly the row kernel's.
+template <typename R, typename E, typename Match>
+void Sweep(const R* rl, const R* rr, size_t n, const E* el, const E* er,
+           size_t m, Match& match) {
   size_t j = 0;
   std::vector<uint32_t> active;
   for (size_t i = 0; i < n; ++i) {
@@ -30,37 +31,26 @@ void CollectOverlapsImpl(const T* rl, const T* rr, size_t n, const T* el,
     }
     active.resize(keep);
     for (uint32_t a : active) {
-      if (el[a] < ref_right) {
-        out->push_back({static_cast<uint32_t>(i), a});
-      }
+      if (el[a] < ref_right && match(i, a)) break;
     }
   }
 }
 
-template <typename T>
-void ExistsOverlapImpl(const T* rl, const T* rr, size_t n, const T* el,
-                       const T* er, size_t m, size_t flag_offset,
-                       std::vector<char>* flags) {
-  size_t j = 0;
-  std::vector<uint32_t> active;
-  for (size_t i = 0; i < n; ++i) {
-    const int64_t ref_left = rl[i];
-    const int64_t ref_right = rr[i];
-    while (j < m && el[j] < ref_right) {
-      active.push_back(static_cast<uint32_t>(j));
-      ++j;
+/// Sweep instantiated for the two views' own coordinate widths.
+template <typename Match>
+void SweepViews(const CoordView& refs, const CoordView& exps, Match match) {
+  if (refs.size == 0 || exps.size == 0) return;
+  auto over_exps = [&](const auto* rl, const auto* rr) {
+    if (exps.narrow()) {
+      Sweep(rl, rr, refs.size, exps.l32, exps.r32, exps.size, match);
+    } else {
+      Sweep(rl, rr, refs.size, exps.l64, exps.r64, exps.size, match);
     }
-    size_t keep = 0;
-    for (uint32_t a : active) {
-      if (er[a] > ref_left) active[keep++] = a;
-    }
-    active.resize(keep);
-    for (uint32_t a : active) {
-      if (el[a] < ref_right) {
-        (*flags)[flag_offset + i] = 1;
-        break;
-      }
-    }
+  };
+  if (refs.narrow()) {
+    over_exps(refs.l32, refs.r32);
+  } else {
+    over_exps(refs.l64, refs.r64);
   }
 }
 
@@ -82,47 +72,18 @@ CoordView CoordView::Of(const gdm::RegionColumns& cols, size_t begin,
 
 void CollectOverlaps(const CoordView& refs, const CoordView& exps,
                      std::vector<MatchPair>* out) {
-  if (refs.size == 0 || exps.size == 0) return;
-  if (refs.narrow() && exps.narrow()) {
-    CollectOverlapsImpl<int32_t>(refs.l32, refs.r32, refs.size, exps.l32,
-                                 exps.r32, exps.size, out);
-    return;
-  }
-  // Mixed-width pairs are rare (one sample escaped to int64); widen on the
-  // fly via the accessor-based fallback.
-  size_t j = 0;
-  std::vector<uint32_t> active;
-  for (size_t i = 0; i < refs.size; ++i) {
-    const int64_t ref_left = refs.left(i);
-    const int64_t ref_right = refs.right(i);
-    while (j < exps.size && exps.left(j) < ref_right) {
-      active.push_back(static_cast<uint32_t>(j));
-      ++j;
-    }
-    size_t keep = 0;
-    for (uint32_t a : active) {
-      if (exps.right(a) > ref_left) active[keep++] = a;
-    }
-    active.resize(keep);
-    for (uint32_t a : active) {
-      if (exps.left(a) < ref_right) {
-        out->push_back({static_cast<uint32_t>(i), a});
-      }
-    }
-  }
+  SweepViews(refs, exps, [out](size_t i, uint32_t a) {
+    out->push_back({static_cast<uint32_t>(i), a});
+    return false;
+  });
 }
 
 void ExistsOverlapInto(const CoordView& refs, const CoordView& exps,
                        size_t flag_offset, std::vector<char>* flags) {
-  if (refs.size == 0 || exps.size == 0) return;
-  if (refs.narrow() && exps.narrow()) {
-    ExistsOverlapImpl<int32_t>(refs.l32, refs.r32, refs.size, exps.l32,
-                               exps.r32, exps.size, flag_offset, flags);
-  } else {
-    std::vector<MatchPair> pairs;
-    CollectOverlaps(refs, exps, &pairs);
-    for (const MatchPair& p : pairs) (*flags)[flag_offset + p.ref] = 1;
-  }
+  SweepViews(refs, exps, [&](size_t i, uint32_t) {
+    (*flags)[flag_offset + i] = 1;
+    return true;  // one match settles the ref
+  });
 }
 
 void ProfileFromCoords(int32_t chrom, const int64_t* lefts,

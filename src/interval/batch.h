@@ -17,7 +17,7 @@ namespace gdms::interval {
 /// The batch kernels sweep these dense arrays instead of row-structured
 /// GenomicRegion vectors: no Value payloads in the cache lines, 4-byte
 /// elements in the common (narrow) case. Exactly one of the 32/64-bit
-/// pointer pairs is set; left(i)/right(i) widen on access.
+/// pointer pairs is set; the kernels are instantiated per width pairing.
 struct CoordView {
   const int32_t* l32 = nullptr;
   const int32_t* r32 = nullptr;
@@ -26,8 +26,6 @@ struct CoordView {
   size_t size = 0;
 
   bool narrow() const { return l32 != nullptr; }
-  int64_t left(size_t i) const { return narrow() ? l32[i] : l64[i]; }
-  int64_t right(size_t i) const { return narrow() ? r32[i] : r64[i]; }
 
   /// View over rows [begin, end) of `cols` — typically one ColumnChunk's
   /// range, since a view carries no chromosome ids of its own.

@@ -58,6 +58,27 @@ interval::CoordView WholeView(const RegionColumns& cols) {
   return interval::CoordView::Of(cols, 0, cols.size());
 }
 
+// 64-bit copies of narrow columns' coordinates, so the batch kernels can be
+// fed the same regions at either coordinate width.
+struct WideCoords {
+  explicit WideCoords(const RegionColumns& cols) {
+    for (size_t i = 0; i < cols.size(); ++i) {
+      left.push_back(cols.left(i));
+      right.push_back(cols.right(i));
+    }
+  }
+
+  interval::CoordView View(size_t begin, size_t end) const {
+    interval::CoordView v;
+    v.l64 = left.data() + begin;
+    v.r64 = right.data() + begin;
+    v.size = end - begin;
+    return v;
+  }
+
+  std::vector<int64_t> left, right;
+};
+
 // ----------------------------------------------------------- RegionColumns
 
 TEST(RegionColumnsTest, RoundTripsAllValueTypes) {
@@ -165,6 +186,9 @@ TEST(BatchKernelTest, CollectOverlapsMatchesRowJoinOrder) {
     RegionSchema schema;
     RegionColumns rcols = RegionColumns::Build(all_refs, schema);
     RegionColumns ecols = RegionColumns::Build(all_exps, schema);
+    ASSERT_TRUE(rcols.narrow() && ecols.narrow());
+    WideCoords rwide(rcols);
+    WideCoords ewide(ecols);
 
     // Row reference, chunk by chromosome like the engine does.
     for (const auto& rc : rcols.chunks()) {
@@ -180,14 +204,23 @@ TEST(BatchKernelTest, CollectOverlapsMatchesRowJoinOrder) {
         row_pairs.emplace_back(i, a);
       });
 
-      std::vector<interval::MatchPair> batch;
-      interval::CollectOverlaps(
+      // Every coordinate-width pairing: 32/32, 32/64, 64/32, 64/64.
+      const interval::CoordView ref_views[] = {
           interval::CoordView::Of(rcols, rc.begin, rc.end),
-          interval::CoordView::Of(ecols, eb, ee), &batch);
-      ASSERT_EQ(batch.size(), row_pairs.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(batch[i].ref, row_pairs[i].first);
-        EXPECT_EQ(batch[i].exp, row_pairs[i].second);
+          rwide.View(rc.begin, rc.end)};
+      const interval::CoordView exp_views[] = {
+          interval::CoordView::Of(ecols, eb, ee), ewide.View(eb, ee)};
+      for (const interval::CoordView& rv : ref_views) {
+        for (const interval::CoordView& ev : exp_views) {
+          std::vector<interval::MatchPair> batch;
+          interval::CollectOverlaps(rv, ev, &batch);
+          ASSERT_EQ(batch.size(), row_pairs.size())
+              << "narrow refs " << rv.narrow() << ", exps " << ev.narrow();
+          for (size_t i = 0; i < batch.size(); ++i) {
+            EXPECT_EQ(batch[i].ref, row_pairs[i].first);
+            EXPECT_EQ(batch[i].exp, row_pairs[i].second);
+          }
+        }
       }
     }
   }
@@ -201,14 +234,26 @@ TEST(BatchKernelTest, ExistsOverlapMatchesRowKernel) {
     RegionSchema schema;
     RegionColumns rcols = RegionColumns::Build(refs, schema);
     RegionColumns ecols = RegionColumns::Build(exps, schema);
+    ASSERT_TRUE(rcols.narrow() && ecols.narrow());
+    WideCoords rwide(rcols);
+    WideCoords ewide(ecols);
     auto row_flags = interval::ExistsOverlap(refs, exps);
-    std::vector<char> batch_flags(refs.size(), 0);
-    interval::ExistsOverlapInto(WholeView(rcols), WholeView(ecols), 0,
-                                &batch_flags);
-    for (size_t i = 0; i < refs.size(); ++i) {
-      EXPECT_EQ(static_cast<bool>(batch_flags[i]),
-                static_cast<bool>(row_flags[i]))
-          << "ref " << i;
+    // Every coordinate-width pairing: 32/32, 32/64, 64/32, 64/64.
+    const interval::CoordView ref_views[] = {WholeView(rcols),
+                                             rwide.View(0, refs.size())};
+    const interval::CoordView exp_views[] = {WholeView(ecols),
+                                             ewide.View(0, exps.size())};
+    for (const interval::CoordView& rv : ref_views) {
+      for (const interval::CoordView& ev : exp_views) {
+        std::vector<char> batch_flags(refs.size(), 0);
+        interval::ExistsOverlapInto(rv, ev, 0, &batch_flags);
+        for (size_t i = 0; i < refs.size(); ++i) {
+          EXPECT_EQ(static_cast<bool>(batch_flags[i]),
+                    static_cast<bool>(row_flags[i]))
+              << "ref " << i << ", narrow refs " << rv.narrow() << ", exps "
+              << ev.narrow();
+        }
+      }
     }
   }
 }

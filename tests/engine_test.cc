@@ -402,20 +402,35 @@ TEST(TaskGraphTest, MatchJoinbyPairsEqualsNestedScan) {
 }
 
 TEST(EngineTraceTest, MaterializedCountsShuffleBytes) {
-  EngineOptions options;
-  options.backend = BackendKind::kMaterialized;
-  options.threads = 2;
-  ParallelExecutor executor(options);
-  QueryRunner runner(&executor);
   auto genome = gdm::GenomeAssembly::HumanLike(3, 10000000);
   sim::PeakDatasetOptions popt;
   popt.num_samples = 2;
   popt.peaks_per_sample = 300;
-  runner.RegisterDataset(sim::GeneratePeakDataset(genome, popt, 5));
+  Dataset peaks = sim::GeneratePeakDataset(genome, popt, 5);
   auto catalog = sim::GenerateGenes(genome, 100, 5);
-  runner.RegisterDataset(sim::GenerateAnnotations(genome, catalog, {}, 5));
+  Dataset annotations = sim::GenerateAnnotations(genome, catalog, {}, 5);
+  struct Counts {
+    uint64_t tasks, partitions, columnar_tasks, shuffle_bytes, barriers;
+  };
+  auto run = [&](BackendKind backend, const char* query) {
+    EngineOptions options;
+    options.backend = backend;
+    options.threads = 2;
+    ParallelExecutor executor(options);
+    QueryRunner runner(&executor);
+    runner.RegisterDataset(peaks);
+    runner.RegisterDataset(annotations);
+    auto r = runner.Run(query);
+    EXPECT_TRUE(r.ok()) << BackendKindName(backend) << ": " << query;
+    const EngineTrace& t = executor.trace();
+    return Counts{t.tasks.load(), t.partitions.load(),
+                  t.columnar_tasks.load(), t.shuffle_bytes.load(),
+                  t.stage_barriers.load()};
+  };
   // Each program runs exactly one shuffling operator, whose whole flat task
-  // list crosses one stage boundary: exactly one barrier.
+  // list crosses one stage boundary: exactly one barrier. Both backends run
+  // the same task graph; the materialized one adds one shuffle-write task
+  // per partition in front of it.
   for (const char* query : {
            "PROMS = SELECT(annType == 'promoter') ANNOTATIONS;\n"
            "R = MAP() PROMS ENCODE;\nMATERIALIZE R;\n",
@@ -423,12 +438,15 @@ TEST(EngineTraceTest, MaterializedCountsShuffleBytes) {
            "R = JOIN(DLE(20000); CAT) PROMS ENCODE;\nMATERIALIZE R;\n",
            "R = COVER(2, ANY) ENCODE;\nMATERIALIZE R;\n",
        }) {
-    executor.ResetTrace();
-    auto r = runner.Run(query);
-    ASSERT_TRUE(r.ok()) << query;
-    EXPECT_GT(executor.trace().shuffle_bytes.load(), 0u) << query;
-    EXPECT_EQ(executor.trace().stage_barriers.load(), 1u) << query;
-    EXPECT_GT(executor.trace().tasks.load(), 0u) << query;
+    Counts mat = run(BackendKind::kMaterialized, query);
+    Counts pip = run(BackendKind::kPipelined, query);
+    EXPECT_GT(mat.shuffle_bytes, 0u) << query;
+    EXPECT_EQ(mat.barriers, 1u) << query;
+    EXPECT_GT(mat.tasks, 0u) << query;
+    EXPECT_GT(pip.partitions, 0u) << query;
+    EXPECT_EQ(mat.partitions, pip.partitions) << query;
+    EXPECT_EQ(mat.columnar_tasks, pip.columnar_tasks) << query;
+    EXPECT_EQ(mat.tasks, pip.tasks + pip.partitions) << query;
   }
 }
 

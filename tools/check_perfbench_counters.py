@@ -16,9 +16,10 @@ peak bytes held by the query, intermediate datasets, stored bytes per
 region), so they do not depend on the machine or the run length.
 
 Check mode fails (exit 1) when a run did not report `correct`, when its
-seed differs from the recorded one, or when any recorded counter of its
-workload is missing or differs from the recorded value at all. Wall times
-are never compared.
+seed differs from the recorded one, when any recorded counter of its
+workload is missing or differs from the recorded value at all, or when a
+recorded workload has no run among the arguments. Wall times are never
+compared.
 
 Record mode writes COUNTERS.json from the runs: for each workload, the
 candidate counters whose value is identical in every run given for it.
@@ -113,8 +114,10 @@ def check(counters_path, runs):
         spec = json.load(f)
     failures = []
     checked = 0
+    seen = set()
     for path in runs:
         workload, seed, result = load_run(path)
+        seen.add(workload)
         if not result.get("correct") or result.get("failed", 0) != 0:
             failures.append(f"{workload}: run not correct "
                             f"(failed {result.get('failed')})")
@@ -134,6 +137,8 @@ def check(counters_path, runs):
             elif got[name]["value"] != want:
                 failures.append(f"{workload}: {name} = {got[name]['value']!r},"
                                 f" recorded {want!r}")
+    for workload in sorted(set(spec["workloads"]) - seen):
+        failures.append(f"{workload}: recorded, but no run given")
     for line in failures:
         print("FAIL " + line)
     if failures:
