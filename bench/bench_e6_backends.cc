@@ -62,7 +62,6 @@ BackendRun RunOn(engine::BackendKind backend, const char* gmql) {
   engine::EngineOptions options;
   options.backend = backend;
   options.threads = 4;
-  options.bin_size = 2000000;
   engine::ParallelExecutor executor(options);
   core::QueryRunner runner(&executor);
   RegisterData(&runner, 2016);
@@ -85,7 +84,6 @@ void PrintTable(bench::BenchJson* json) {
   json->top().Add("peaks_per_sample", 25000);
   json->top().Add("genes", 3000);
   json->top().Add("threads", 4);
-  json->top().Add("bin_size", 2000000);
   auto record = [&](const char* query, const char* backend,
                     const BackendRun& run) {
     bench::JsonObject& row = json->NewRun();

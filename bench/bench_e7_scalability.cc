@@ -36,7 +36,6 @@ constexpr size_t kRefPanels = 8;
 constexpr size_t kPanelRegions = 400;
 constexpr size_t kSamples = 96;
 constexpr size_t kPeaksPerSample = 25000;
-constexpr int64_t kBinSize = 10000000;
 
 /// Generated once; each run copies out of the masters so dataset synthesis
 /// stays off the clock and every run starts with cold columns.
@@ -74,7 +73,6 @@ struct RunResult {
 RunResult RunOnce(size_t threads) {
   engine::EngineOptions options;
   options.threads = threads;
-  options.bin_size = kBinSize;
   options.backend = engine::BackendKind::kPipelined;
   engine::ParallelExecutor executor(options);
   core::QueryRunner runner(&executor);
@@ -140,7 +138,6 @@ void PrintTable(bench::BenchJson* json) {
   json->top().Add("panel_regions", static_cast<uint64_t>(kPanelRegions));
   json->top().Add("samples", static_cast<uint64_t>(kSamples));
   json->top().Add("peaks_per_sample", static_cast<uint64_t>(kPeaksPerSample));
-  json->top().Add("bin_size", kBinSize);
   json->top().Add("hardware_threads", static_cast<uint64_t>(hw));
 
   // Warm the allocator and page cache so the first measured config is not

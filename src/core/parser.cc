@@ -1,6 +1,7 @@
 #include "core/parser.h"
 
 #include <cctype>
+#include <cstdint>
 #include <vector>
 
 #include "common/string_util.h"
@@ -638,6 +639,12 @@ class ParserImpl {
         std::string atom = ToLower(Advance().text);
         GDMS_RETURN_NOT_OK(ExpectSymbol("("));
         GDMS_ASSIGN_OR_RETURN(int64_t n, ExpectInteger("distance"));
+        // Distances stay within the magnitude of INT64_MIN / 4, the
+        // reference's stand-in for an absent DGE; a larger one would
+        // overflow the DLT/DGT adjustment below or the JOIN sweep window.
+        if (atom != "md" && (n > INT64_MAX / 4 || n < -(INT64_MAX / 4))) {
+          return ErrorHere("distance out of range");
+        }
         GDMS_RETURN_NOT_OK(ExpectSymbol(")"));
         if (atom == "dle") {
           params.predicate.max_dist = n;

@@ -37,54 +37,6 @@ using interval::MergeSlices;
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-/// Overlap sweep over single-chromosome slices (both sorted by left).
-/// `window` > 0 turns it into a distance-window sweep.
-template <typename Sink>
-void SliceSweep(const std::vector<GenomicRegion>& refs, size_t rb, size_t re,
-                const std::vector<GenomicRegion>& exps, size_t eb, size_t ee,
-                int64_t window, Sink&& sink) {
-  size_t j = eb;
-  std::vector<size_t> active;
-  for (size_t i = rb; i < re; ++i) {
-    const GenomicRegion& r = refs[i];
-    while (j < ee && exps[j].left < r.right + window) {
-      active.push_back(j);
-      ++j;
-    }
-    size_t keep = 0;
-    for (size_t a : active) {
-      if (exps[a].right > r.left - window) active[keep++] = a;
-    }
-    active.resize(keep);
-    for (size_t a : active) {
-      if (exps[a].left < r.right + window && exps[a].right > r.left - window) {
-        sink(i, a);
-      }
-    }
-  }
-}
-
-/// Ref-side bin chunks, computed once per distinct ref sample and shared by
-/// every pair that reuses the sample (the dominant case: one reference
-/// against thousands of experiment samples).
-class RefChunkCache {
- public:
-  explicit RefChunkCache(int64_t bin_size) : bin_size_(bin_size) {}
-
-  const std::vector<RefChunk>& ChunksFor(const Sample& sample) {
-    auto it = cache_.find(&sample);
-    if (it == cache_.end()) {
-      it = cache_.emplace(&sample, MakeRefChunks(sample.regions, bin_size_))
-               .first;
-    }
-    return it->second;
-  }
-
- private:
-  int64_t bin_size_;
-  std::unordered_map<const Sample*, std::vector<RefChunk>> cache_;
-};
-
 /// Per-(spec x ref-row) state of the MAP kernel, finished by
 /// AggAccumulator's rules so results are bit-identical to the reference
 /// executor. COUNT keeps nothing here (it reads the pair's match counts).
@@ -570,9 +522,9 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
   // emission order equals the reference sweep's, so double accumulation is
   // bit-identical.
   //
-  // Partitions are chunk-aligned: one task per ref chromosome present on
-  // both sides, straight from the columns' chunk directories, with no
-  // duplicated exp boundary rows.
+  // Partitions are chunk-aligned (AppendChunkPartitions, shared with JOIN):
+  // one task per ref chromosome present on both sides, with no duplicated
+  // exp boundary rows.
   struct PairState {
     const Sample* rs;
     const Sample* es;
@@ -587,12 +539,10 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
     PairState ps;
     ps.rs = &ref.sample(l);
     ps.es = &exp.sample(r);
-    const RegionColumns& ecols = ps.es->columns(exp.schema());
-    for (const ColumnChunk& rc : ps.rs->columns(ref.schema()).chunks()) {
-      const ColumnChunk* ec = ecols.FindChunk(rc.chrom);
-      if (ec == nullptr) continue;  // refs still assemble, zero matches
-      parts.push_back({rc.begin, rc.end, ec->begin, ec->end});
-    }
+    // A ref chromosome the exp lacks gets no task; its rows still
+    // assemble, with zero matches.
+    AppendChunkPartitions(ps.rs->columns(ref.schema()),
+                          ps.es->columns(exp.schema()), &parts);
     size_t rows = ps.rs->regions.size();
     ps.match_count.assign(rows, 0);
     ps.aggs.resize(specs.size());
@@ -620,7 +570,7 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
         std::vector<interval::MatchPair> matches;
         interval::CollectOverlaps(
             interval::CoordView::Of(rcols, in[0].begin, in[0].end),
-            interval::CoordView::Of(ecols, in[1].begin, in[1].end),
+            interval::CoordView::Of(ecols, in[1].begin, in[1].end), 0,
             &matches);
         // Ref rows are disjoint across partitions, so the per-pair arrays
         // need no synchronization.
@@ -681,8 +631,12 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
 
   int64_t window = std::max<int64_t>(0, params.predicate.max_dist) + 1;
 
-  // One task list over all pairs x partitions, then a parallel per-pair
-  // assembly (concatenate + sort).
+  // One task list over all pairs x partitions, the partitions MAP uses: the
+  // batch kernel sweeps the two chunks' coordinate columns within the
+  // distance window and emits each match from the rows, refs ascending and
+  // exps ascending per ref, the reference's order. The per-pair assembly
+  // concatenates the chunks in chromosome order and sorts, so it sorts what
+  // the reference sorts.
   struct PairState {
     const Sample* ls;
     const Sample* rs;
@@ -693,15 +647,10 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
   pairs.reserve(pair_idx.size());
   std::vector<Partition> parts;
   std::vector<size_t> owner;
-  RefChunkCache chunks(options_.bin_size);
   for (const auto& [l, r] : pair_idx) {
-    PairState ps;
-    ps.ls = &left.sample(l);
-    ps.rs = &right.sample(r);
-    auto bound = BindPartitions(chunks.ChunksFor(*ps.ls),
-                                ps.rs->columns(right.schema()), window);
-    ps.part_begin = parts.size();
-    parts.insert(parts.end(), bound.begin(), bound.end());
+    PairState ps{&left.sample(l), &right.sample(r), parts.size(), 0};
+    AppendChunkPartitions(ps.ls->columns(left.schema()),
+                          ps.rs->columns(right.schema()), &parts);
     ps.part_end = parts.size();
     owner.resize(parts.size(), pairs.size());
     pairs.push_back(ps);
@@ -718,13 +667,19 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
         in->push_back({&ps.rs->regions, part.exp_begin, part.exp_end});
       },
       [&](size_t pi, const std::vector<Slice>& in) {
-        const std::vector<GenomicRegion>& lv = in[0].store->rows();
-        const std::vector<GenomicRegion>& rv = in[1].store->rows();
-        SliceSweep(lv, in[0].begin, in[0].end, rv, in[1].begin, in[1].end,
-                   window, [&](size_t i, size_t a) {
-                     Operators::JoinEmit(params, lv[i], rv[a],
-                                         &chunk_out[pi]);
-                   });
+        trace_.columnar_tasks.fetch_add(1, kRelaxed);
+        std::vector<interval::MatchPair> matches;
+        interval::CollectOverlaps(
+            interval::CoordView::Of(in[0].store->columns(left.schema()),
+                                    in[0].begin, in[0].end),
+            interval::CoordView::Of(in[1].store->columns(right.schema()),
+                                    in[1].begin, in[1].end),
+            window, &matches);
+        const GenomicRegion* lv = in[0].store->rows().data() + in[0].begin;
+        const GenomicRegion* rv = in[1].store->rows().data() + in[1].begin;
+        for (const auto& mp : matches) {
+          Operators::JoinEmit(params, lv[mp.ref], rv[mp.exp], &chunk_out[pi]);
+        }
       }));
 
   auto assemble = [&](size_t p) {
@@ -862,7 +817,7 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
         // Each cover region spans the inputs it overlaps; extension can
         // make neighbours touch, so they merge.
         part.regions = interval::Cover(part.profile, bounds);
-        interval::CollectOverlaps(Coords64(part.regions).view(), pooled,
+        interval::CollectOverlaps(Coords64(part.regions).view(), pooled, 0,
                                   &matches);
         for (const auto& mp : matches) {
           GenomicRegion& r = part.regions[mp.ref];
@@ -888,7 +843,7 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
     for (size_t oi = 0; oi < part.regions.size(); ++oi) {
       for (const auto& spec : specs) accs.emplace_back(spec.func);
     }
-    interval::CollectOverlaps(Coords64(part.regions).view(), pooled,
+    interval::CollectOverlaps(Coords64(part.regions).view(), pooled, 0,
                               &matches);
     for (const auto& mp : matches) {
       for (size_t x = 0; x < specs.size(); ++x) {

@@ -29,11 +29,11 @@ enum class BackendKind {
 
 const char* BackendKindName(BackendKind kind);
 
+/// Partitioning needs no knob: every partitioned operator splits work by
+/// the columns' per-chromosome chunk directories.
 struct EngineOptions {
   /// Worker threads; 0 = hardware concurrency.
   size_t threads = 0;
-  /// Genomic bin width of JOIN's range partitions within a chromosome.
-  int64_t bin_size = 5000000;
   BackendKind backend = BackendKind::kPipelined;
 };
 
@@ -52,9 +52,10 @@ struct EngineTrace {
   std::atomic<uint64_t> partitions{0};
   std::atomic<uint64_t> shuffle_bytes{0};
   std::atomic<uint64_t> stage_barriers{0};
-  /// Compute tasks that ran through a columnar batch kernel instead of a
-  /// row sweep: every MAP and DIFFERENCE task, and every COVER profile
-  /// task (one per partition, on both backends). JOIN sweeps rows.
+  /// Compute tasks that ran through a columnar batch kernel: every MAP,
+  /// JOIN and DIFFERENCE task, and every COVER profile task (one per
+  /// partition, on both backends). MD(k) JOIN runs per pair, off this
+  /// count.
   std::atomic<uint64_t> columnar_tasks{0};
 
   void Reset() {
@@ -80,10 +81,15 @@ struct EngineTrace {
 /// tail is bound and applied). The backend (BackendKind) is chosen in one
 /// place, RunPartitionStages: MAP, JOIN and COVER list the same input
 /// slices and run the same kernels on both backends, and the materialized
-/// backend only adds the shuffle round trip in front of the kernel. MAP and
-/// DIFFERENCE sweep coordinate columns per chromosome; COVER, for every
-/// variant and aggregate, merges the members' sorted chunk columns per
-/// (group x chromosome) and computes from the merged coordinates.
+/// backend only adds the shuffle round trip in front of the kernel. Every
+/// partition is cut from the columns' chromosome chunk directories, and
+/// every kernel sweeps coordinate columns: MAP and JOIN per (pair x
+/// chromosome on both sides), with one partition builder
+/// (AppendChunkPartitions) and one sweep (interval::CollectOverlaps, JOIN
+/// with its distance window); DIFFERENCE per (left sample x chromosome);
+/// COVER, for every variant and aggregate, merges the members' sorted chunk
+/// columns per (group x chromosome) and computes from the merged
+/// coordinates.
 /// Results are sample-for-sample equal to the ReferenceExecutor — the
 /// engine tests assert exactly that.
 class ParallelExecutor : public core::Executor {
@@ -146,8 +152,8 @@ class ParallelExecutor : public core::Executor {
   /// every partition, ONE barrier is counted, the buffers are charged to
   /// the active query while they live, and `compute_stage` decodes each
   /// partition's buffers into stores (first decode error wins) and runs
-  /// `kernel` on slices spanning them. Kernels read `store->columns()` or
-  /// `store->rows()` the same way on both backends.
+  /// `kernel` on slices spanning them. Kernels read `store->columns()`, and
+  /// JOIN's emission `store->rows()`, the same way on both backends.
   Status RunPartitionStages(const char* shuffle_stage,
                             const char* compute_stage, size_t n,
                             const SliceLister& slices,

@@ -67,47 +67,13 @@ std::vector<std::string> SampleKeys(const gdm::Metadata& meta,
 
 }  // namespace
 
-std::vector<RefChunk> MakeRefChunks(
-    const std::vector<gdm::GenomicRegion>& refs, int64_t bin_size) {
-  std::vector<RefChunk> out;
-  size_t i = 0;
-  while (i < refs.size()) {
-    RefChunk chunk;
-    chunk.begin = i;
-    chunk.chrom = refs[i].chrom;
-    chunk.span_start = refs[i].left;
-    chunk.max_right = refs[i].right;
-    ++i;
-    while (i < refs.size() && refs[i].chrom == chunk.chrom &&
-           refs[i].left < chunk.span_start + bin_size) {
-      chunk.max_right = std::max(chunk.max_right, refs[i].right);
-      ++i;
-    }
-    chunk.end = i;
-    out.push_back(chunk);
+void AppendChunkPartitions(const gdm::RegionColumns& refs,
+                           const gdm::RegionColumns& exps,
+                           std::vector<TaskPartition>* out) {
+  for (const gdm::ColumnChunk& rc : refs.chunks()) {
+    const gdm::ColumnChunk* ec = exps.FindChunk(rc.chrom);
+    if (ec != nullptr) out->push_back({rc.begin, rc.end, ec->begin, ec->end});
   }
-  static obs::Counter* chunks =
-      obs::MetricsRegistry::Global().GetCounter("gdms_engine_ref_chunks_total");
-  chunks->Add(out.size());
-  return out;
-}
-
-std::vector<TaskPartition> BindPartitions(const std::vector<RefChunk>& chunks,
-                                          const gdm::RegionColumns& exps,
-                                          int64_t slack) {
-  std::vector<TaskPartition> out;
-  out.reserve(chunks.size());
-  for (const RefChunk& chunk : chunks) {
-    TaskPartition part;
-    part.ref_begin = chunk.begin;
-    part.ref_end = chunk.end;
-    int64_t exp_len = exps.MaxLen(chunk.chrom);
-    part.exp_begin =
-        exps.LowerBoundLeft(chunk.chrom, chunk.span_start - slack - exp_len);
-    part.exp_end = exps.LowerBoundLeft(chunk.chrom, chunk.max_right + slack);
-    out.push_back(part);
-  }
-  return out;
 }
 
 std::vector<std::pair<size_t, size_t>> MatchJoinbyPairs(

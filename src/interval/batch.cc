@@ -7,44 +7,46 @@ namespace gdms::interval {
 
 namespace {
 
-/// Same structure as WindowSweep(window = 0) in sweep.cc, specialized to one
-/// chromosome and dense coordinate arrays of either width: admission
-/// (el[j] < ref right), prune (er[a] > ref left), then match(i, a) for each
-/// overlapping active exp in active-list order, until it returns true. The
-/// admission re-test equals the Overlaps predicate at window 0, so the
-/// matched pair set and order are exactly the row kernel's.
+/// WindowSweep in sweep.cc, specialized to one chromosome and dense
+/// coordinate arrays of either width: admission (el[j] < ref right +
+/// window), prune (er[a] > ref left - window), then match(i, a) for each
+/// active exp that passes the admission re-test, in active-list order, until
+/// it returns true. At window 0 the re-test equals the Overlaps predicate;
+/// at window w > 0 it admits exactly the pairs at genometric distance
+/// < w. Either way the matched pair set and order are the row kernel's.
 template <typename R, typename E, typename Match>
 void Sweep(const R* rl, const R* rr, size_t n, const E* el, const E* er,
-           size_t m, Match& match) {
+           size_t m, int64_t window, Match& match) {
   size_t j = 0;
   std::vector<uint32_t> active;
   for (size_t i = 0; i < n; ++i) {
-    const int64_t ref_left = rl[i];
-    const int64_t ref_right = rr[i];
-    while (j < m && el[j] < ref_right) {
+    const int64_t reach_left = rl[i] - window;
+    const int64_t reach_right = rr[i] + window;
+    while (j < m && el[j] < reach_right) {
       active.push_back(static_cast<uint32_t>(j));
       ++j;
     }
     size_t keep = 0;
     for (uint32_t a : active) {
-      if (er[a] > ref_left) active[keep++] = a;
+      if (er[a] > reach_left) active[keep++] = a;
     }
     active.resize(keep);
     for (uint32_t a : active) {
-      if (el[a] < ref_right && match(i, a)) break;
+      if (el[a] < reach_right && match(i, a)) break;
     }
   }
 }
 
 /// Sweep instantiated for the two views' own coordinate widths.
 template <typename Match>
-void SweepViews(const CoordView& refs, const CoordView& exps, Match match) {
+void SweepViews(const CoordView& refs, const CoordView& exps, int64_t window,
+                Match match) {
   if (refs.size == 0 || exps.size == 0) return;
   auto over_exps = [&](const auto* rl, const auto* rr) {
     if (exps.narrow()) {
-      Sweep(rl, rr, refs.size, exps.l32, exps.r32, exps.size, match);
+      Sweep(rl, rr, refs.size, exps.l32, exps.r32, exps.size, window, match);
     } else {
-      Sweep(rl, rr, refs.size, exps.l64, exps.r64, exps.size, match);
+      Sweep(rl, rr, refs.size, exps.l64, exps.r64, exps.size, window, match);
     }
   };
   if (refs.narrow()) {
@@ -71,8 +73,8 @@ CoordView CoordView::Of(const gdm::RegionColumns& cols, size_t begin,
 }
 
 void CollectOverlaps(const CoordView& refs, const CoordView& exps,
-                     std::vector<MatchPair>* out) {
-  SweepViews(refs, exps, [out](size_t i, uint32_t a) {
+                     int64_t window, std::vector<MatchPair>* out) {
+  SweepViews(refs, exps, window, [out](size_t i, uint32_t a) {
     out->push_back({static_cast<uint32_t>(i), a});
     return false;
   });
@@ -80,7 +82,7 @@ void CollectOverlaps(const CoordView& refs, const CoordView& exps,
 
 void ExistsOverlapInto(const CoordView& refs, const CoordView& exps,
                        size_t flag_offset, std::vector<char>* flags) {
-  SweepViews(refs, exps, [&](size_t i, uint32_t) {
+  SweepViews(refs, exps, 0, [&](size_t i, uint32_t) {
     (*flags)[flag_offset + i] = 1;
     return true;  // one match settles the ref
   });

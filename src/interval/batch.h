@@ -43,11 +43,13 @@ struct MatchPair {
 /// \brief Batch overlap sweep: appends every overlapping (ref, exp) pair to
 /// `out` in the same order the row-based OverlapJoin reports them (refs
 /// ascending, active exps ascending per ref) so downstream accumulation is
-/// bit-identical to the reference executor's.
+/// bit-identical to the reference executor's. A `window` w > 0 widens the
+/// sweep to DistanceJoin's: every pair at genometric distance < w, in
+/// DistanceJoin(min_dist = INT64_MIN / 4, max_dist = w - 1) order.
 ///
 /// Both views must cover a single chromosome and be sorted by (left, right).
 void CollectOverlaps(const CoordView& refs, const CoordView& exps,
-                     std::vector<MatchPair>* out);
+                     int64_t window, std::vector<MatchPair>* out);
 
 /// \brief Batch exists-overlap: sets flags[flag_offset + i] for each ref row
 /// i of the view that overlaps at least one exp row. Flags are never

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <random>
 #include <thread>
@@ -199,26 +200,34 @@ TEST(BatchKernelTest, CollectOverlapsMatchesRowJoinOrder) {
                                       all_refs.begin() + rc.end);
       std::vector<GenomicRegion> exps(all_exps.begin() + eb,
                                       all_exps.begin() + ee);
-      std::vector<std::pair<size_t, size_t>> row_pairs;
-      interval::OverlapJoin(refs, exps, [&](size_t i, size_t a) {
-        row_pairs.emplace_back(i, a);
-      });
+      // Window 0 is MAP's and COVER's overlap sweep; a window w > 0 is
+      // JOIN's, whose row kernel is DistanceJoin up to distance w - 1.
+      for (int64_t window : {int64_t{0}, int64_t{1}, int64_t{2500}}) {
+        std::vector<std::pair<size_t, size_t>> row_pairs;
+        auto sink = [&](size_t i, size_t a) { row_pairs.emplace_back(i, a); };
+        if (window == 0) {
+          interval::OverlapJoin(refs, exps, sink);
+        } else {
+          interval::DistanceJoin(refs, exps, INT64_MIN / 4, window - 1, sink);
+        }
 
-      // Every coordinate-width pairing: 32/32, 32/64, 64/32, 64/64.
-      const interval::CoordView ref_views[] = {
-          interval::CoordView::Of(rcols, rc.begin, rc.end),
-          rwide.View(rc.begin, rc.end)};
-      const interval::CoordView exp_views[] = {
-          interval::CoordView::Of(ecols, eb, ee), ewide.View(eb, ee)};
-      for (const interval::CoordView& rv : ref_views) {
-        for (const interval::CoordView& ev : exp_views) {
-          std::vector<interval::MatchPair> batch;
-          interval::CollectOverlaps(rv, ev, &batch);
-          ASSERT_EQ(batch.size(), row_pairs.size())
-              << "narrow refs " << rv.narrow() << ", exps " << ev.narrow();
-          for (size_t i = 0; i < batch.size(); ++i) {
-            EXPECT_EQ(batch[i].ref, row_pairs[i].first);
-            EXPECT_EQ(batch[i].exp, row_pairs[i].second);
+        // Every coordinate-width pairing: 32/32, 32/64, 64/32, 64/64.
+        const interval::CoordView ref_views[] = {
+            interval::CoordView::Of(rcols, rc.begin, rc.end),
+            rwide.View(rc.begin, rc.end)};
+        const interval::CoordView exp_views[] = {
+            interval::CoordView::Of(ecols, eb, ee), ewide.View(eb, ee)};
+        for (const interval::CoordView& rv : ref_views) {
+          for (const interval::CoordView& ev : exp_views) {
+            std::vector<interval::MatchPair> batch;
+            interval::CollectOverlaps(rv, ev, window, &batch);
+            ASSERT_EQ(batch.size(), row_pairs.size())
+                << "window " << window << ", narrow refs " << rv.narrow()
+                << ", exps " << ev.narrow();
+            for (size_t i = 0; i < batch.size(); ++i) {
+              EXPECT_EQ(batch[i].ref, row_pairs[i].first);
+              EXPECT_EQ(batch[i].exp, row_pairs[i].second);
+            }
           }
         }
       }

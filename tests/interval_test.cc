@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "gdm/region.h"
 #include "interval/accumulation.h"
-#include "interval/binning.h"
 #include "interval/interval_tree.h"
 #include "interval/sweep.h"
 
@@ -324,42 +323,6 @@ TEST(IntervalIndexTest, RandomizedAgainstBruteForce) {
     }
     EXPECT_EQ(idx.CountOverlaps(chrom, l, r), want) << "query " << q;
   }
-}
-
-TEST(BinningTest, SpanAndOwnership) {
-  Binning bins(1000);
-  GenomicRegion r(InternChrom("chr1"), 500, 2500);
-  auto [first, last] = bins.BinSpan(r);
-  EXPECT_EQ(first, 0);
-  EXPECT_EQ(last, 2);
-  // Region ending exactly on a boundary stays out of the next bin.
-  GenomicRegion r2(InternChrom("chr1"), 0, 1000);
-  auto [f2, l2] = bins.BinSpan(r2);
-  EXPECT_EQ(f2, 0);
-  EXPECT_EQ(l2, 0);
-  // Pair ownership: bin of max(left, left).
-  GenomicRegion a(InternChrom("chr1"), 900, 1200);
-  GenomicRegion b(InternChrom("chr1"), 1100, 1300);
-  EXPECT_FALSE(bins.OwnsPair(0, a, b));
-  EXPECT_TRUE(bins.OwnsPair(1, a, b));
-}
-
-TEST(BinningTest, SlackWidensSpan) {
-  Binning bins(1000);
-  GenomicRegion r(InternChrom("chr1"), 1500, 1600);
-  auto [f, l] = bins.BinSpan(r, 600);
-  EXPECT_EQ(f, 0);
-  EXPECT_EQ(l, 2);
-}
-
-TEST(BinningTest, PartitionStable) {
-  EXPECT_EQ(Binning::PartitionOf(1, 5, 8), Binning::PartitionOf(1, 5, 8));
-  // Different bins usually land on different partitions.
-  std::set<size_t> parts;
-  for (int64_t bin = 0; bin < 100; ++bin) {
-    parts.insert(Binning::PartitionOf(1, bin, 8));
-  }
-  EXPECT_GT(parts.size(), 1u);
 }
 
 }  // namespace

@@ -63,6 +63,19 @@ TEST(ParserRobustnessTest, OperatorParameterGarbage) {
   ExpectRejected("X = GROUP() D;");
 }
 
+TEST(ParserRobustnessTest, JoinDistanceOutOfRange) {
+  // Each would overflow signed arithmetic: DLT's n - 1, DGT's n + 1, and
+  // the sweep window max_dist + 1.
+  ExpectRejected("X = JOIN(DLT(-9223372036854775808); LEFT) A B;");
+  ExpectRejected("X = JOIN(DGT(9223372036854775807) AND DLE(5); LEFT) A B;");
+  ExpectRejected("X = JOIN(DLE(9223372036854775807); LEFT) A B;");
+  // The bound itself is a distance.
+  EXPECT_TRUE(Parser::Parse("X = JOIN(DLE(2305843009213693951) AND "
+                            "DGE(-2305843009213693951); LEFT) A B;")
+                  .ok());
+  ExpectRejected("X = JOIN(DLE(2305843009213693952); LEFT) A B;");
+}
+
 TEST(ParserRobustnessTest, LexicalGarbage) {
   ExpectRejected("X = SELECT(a == 'unterminated) D;");
   ExpectRejected("X = SELECT(a == $) D;");

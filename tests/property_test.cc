@@ -338,7 +338,6 @@ TEST_P(PropertyTest, ParallelEnginesMatchReferenceOnRandomData) {
     engine::EngineOptions options;
     options.backend = backend;
     options.threads = 3;
-    options.bin_size = 20000;
     engine::ParallelExecutor executor(options);
     auto parallel = run(&executor);
     ASSERT_EQ(parallel.size(), reference.size());
