@@ -4,6 +4,7 @@
 #include <optional>
 #include <set>
 
+#include "gdm/query_context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -11,67 +12,11 @@ namespace gdms::core {
 
 namespace {
 
-/// Restores the tracer's cross-layer parent slot on scope exit, including
-/// early error returns.
-class ScopedParent {
- public:
-  ScopedParent(obs::Tracer* tracer, uint64_t id)
-      : tracer_(tracer), prev_(tracer->ExchangeCurrentParent(id)) {}
-  ~ScopedParent() { tracer_->ExchangeCurrentParent(prev_); }
-  ScopedParent(const ScopedParent&) = delete;
-  ScopedParent& operator=(const ScopedParent&) = delete;
-
- private:
-  obs::Tracer* tracer_;
-  uint64_t prev_;
-};
-
-/// Publishes an account as the process's active query account for the
-/// duration of one RunProgram. Teardown clears the slot only when it still
-/// holds this account (compare-exchange), so concurrent runners finishing
-/// out of order never clobber each other's registration.
-class ActiveQueryScope {
- public:
-  explicit ActiveQueryScope(std::shared_ptr<obs::QueryAccounting> account)
-      : account_(std::move(account)) {
-    if (account_ != nullptr) {
-      obs::ResourceTracker::Global().SetActiveQuery(account_);
-    }
-  }
-  ~ActiveQueryScope() {
-    if (account_ != nullptr) {
-      obs::ResourceTracker::Global().ClearActiveQuery(account_);
-    }
-  }
-  ActiveQueryScope(const ActiveQueryScope&) = delete;
-  ActiveQueryScope& operator=(const ActiveQueryScope&) = delete;
-
- private:
-  std::shared_ptr<obs::QueryAccounting> account_;
-};
-
 obs::Counter* EvictionsCounter() {
   static obs::Counter* c = obs::MetricsRegistry::Global().GetCounter(
       "gdms_mem_evictions_total");
   return c;
 }
-
-/// The registry counters whose deltas RunStats attributes to one query.
-struct FedCounters {
-  obs::Counter* requests;
-  obs::Counter* shipped;
-  obs::Counter* received;
-
-  static const FedCounters& Get() {
-    static FedCounters c{
-        obs::MetricsRegistry::Global().GetCounter("gdms_fed_requests_total"),
-        obs::MetricsRegistry::Global().GetCounter(
-            "gdms_fed_bytes_shipped_total"),
-        obs::MetricsRegistry::Global().GetCounter(
-            "gdms_fed_bytes_received_total")};
-    return c;
-  }
-};
 
 }  // namespace
 
@@ -206,10 +151,6 @@ Result<std::map<std::string, gdm::Dataset>> QueryRunner::RunProgram(
   // Run() calls never leak telemetry into each other.
   stats_ = RunStats{};
   executor_->ResetStats();
-  const FedCounters& fed = FedCounters::Get();
-  uint64_t fed_requests0 = fed.requests->value();
-  uint64_t fed_shipped0 = fed.shipped->value();
-  uint64_t fed_received0 = fed.received->value();
   obs::Tracer& tracer = obs::Tracer::Global();
   obs::Span query_span = tracer.StartSpan("query", "query", 0);
   if (options_.trace.valid()) {
@@ -219,33 +160,29 @@ Result<std::map<std::string, gdm::Dataset>> QueryRunner::RunProgram(
                          static_cast<double>(options_.trace.parent_span));
     }
   }
-  // Byte accounting: publish a fresh account as the process's active query
-  // so engine scratch-buffer charges (ScopedCharge in the flat scheduler)
-  // attribute here. Evaluate charges operator outputs through the runner's
-  // own account_ member, so concurrent runners keep exact output
-  // attribution; only engine scratch charges go through the shared slot
-  // (safe — shared_ptr — but per-process, so siblings may cross-attribute).
   obs::ResourceTracker& tracker = obs::ResourceTracker::Global();
   bool accounting = tracker.accounting_enabled();
-  std::shared_ptr<obs::QueryAccounting> account =
-      accounting ? std::make_shared<obs::QueryAccounting>() : nullptr;
-  account_ = account;
   pinned_.clear();
   resolved_.clear();
-  // Clears the per-run source pins and account on every exit path.
+  // Clears the per-run source pins on every exit path.
   struct RunCleanup {
     QueryRunner* runner;
     ~RunCleanup() {
       runner->pinned_.clear();
       runner->resolved_.clear();
-      runner->account_.reset();
     }
   } cleanup{this};
-  ActiveQueryScope account_scope(account);
-  // Reads of corrupt stored attribute columns on this thread (and on the
-  // engine tasks it runs) land here; see the check after evaluation.
+  // This query's context, on this thread and on every engine task it runs:
+  // reads of corrupt stored attribute columns land in `attr_reads` (see the
+  // check after evaluation), operator outputs and engine scratch buffers
+  // are charged to `account`, and spans opened below the runner nest under
+  // the query's spans, whatever other queries run beside it.
   gdm::AttrReadLog attr_reads;
-  gdm::AttrReadLog::Scope attr_read_scope(&attr_reads);
+  gdm::QueryContext query{
+      &attr_reads,
+      accounting ? std::make_shared<obs::QueryAccounting>() : nullptr,
+      query_span.id()};
+  gdm::QueryContext::Scope query_scope(query);
   if (options_.optimize) {
     stats_.optimizer = Optimizer::Optimize(&program);
   }
@@ -319,13 +256,10 @@ Result<std::map<std::string, gdm::Dataset>> QueryRunner::RunProgram(
     return Status::ParseError(failure->error.message());
   }
   stats_.executor = executor_->stats();
-  stats_.fed_requests = fed.requests->value() - fed_requests0;
-  stats_.fed_bytes_shipped = fed.shipped->value() - fed_shipped0;
-  stats_.fed_bytes_received = fed.received->value() - fed_received0;
   if (accounting) {
-    stats_.alloc_bytes = account->alloc_bytes();
-    stats_.peak_bytes = account->peak_bytes();
-    stats_.op_bytes = account->OperatorStats();
+    stats_.alloc_bytes = query.account->alloc_bytes();
+    stats_.peak_bytes = query.account->peak_bytes();
+    stats_.op_bytes = query.account->OperatorStats();
     tracker.NoteQueryPeak(stats_.peak_bytes);
     if (query_span.active()) {
       query_span.AddAttr("peak_bytes",
@@ -415,16 +349,19 @@ Result<const gdm::Dataset*> QueryRunner::Evaluate(
                           Evaluate(child, memo, span.id()));
     inputs.push_back(in);
   }
-  // Publish this operator's span as the cross-layer parent: engine stage
-  // spans and federation hops emitted inside Execute nest under it.
   ExecutorStats before = span.active() ? executor_->stats() : ExecutorStats{};
   // Name the operator for byte attribution: scratch buffers the engine
   // charges during Execute and the output charge below land on it.
-  obs::QueryAccounting* account = account_.get();
+  const gdm::QueryContext& query = gdm::QueryContext::Current();
+  obs::QueryAccounting* account = query.account.get();
   if (account != nullptr) account->SetCurrentOp(op_name);
   gdm::Dataset out;
   {
-    ScopedParent scope(&tracer, span.id());
+    // Engine stage spans and federation hops emitted inside Execute nest
+    // under this operator's span.
+    gdm::QueryContext op_query = query;
+    op_query.span = span.id();
+    gdm::QueryContext::Scope scope(op_query);
     GDMS_ASSIGN_OR_RETURN(out, executor_->Execute(*node, inputs));
   }
   if (account != nullptr) {
@@ -474,9 +411,6 @@ obs::QueryLogEntry MakeQueryLogEntry(const std::string& query,
   entry.partitions = stats.executor.partitions;
   entry.shuffle_bytes = stats.executor.shuffle_bytes;
   entry.stage_barriers = stats.executor.stage_barriers;
-  entry.fed_requests = stats.fed_requests;
-  entry.fed_bytes_shipped = stats.fed_bytes_shipped;
-  entry.fed_bytes_received = stats.fed_bytes_received;
   entry.alloc_bytes = stats.alloc_bytes;
   entry.peak_bytes = stats.peak_bytes;
   entry.profile = stats.profile;

@@ -50,13 +50,6 @@ struct RunStats {
   /// Executor scheduling counters for this program (tasks, partitions,
   /// shuffle bytes, stage barriers); zeros under the reference executor.
   ExecutorStats executor;
-  /// Federation protocol activity observed while this query ran (deltas of
-  /// the process-wide gdms_fed_* counters): remote hops triggered by the
-  /// query show up here; zero for purely local execution. Attribution is
-  /// per-process, so concurrent runners would cross-attribute.
-  uint64_t fed_requests = 0;
-  uint64_t fed_bytes_shipped = 0;
-  uint64_t fed_bytes_received = 0;
   /// Byte accounting of this query (obs::QueryAccounting): cumulative bytes
   /// charged for operator outputs and engine scratch buffers, the
   /// high-water of live bytes, and the per-operator breakdown. Zeros when
@@ -171,18 +164,14 @@ class QueryRunner {
   /// Every source the current RunProgram resolved, in resolution order
   /// (they name a corrupt attribute the query read).
   std::vector<const gdm::Dataset*> resolved_;
-  /// This query's byte account while RunProgram is on the stack; Evaluate
-  /// charges operator outputs here directly (never through the process
-  /// slot, which a concurrent runner may have republished).
-  std::shared_ptr<obs::QueryAccounting> account_;
   bool shed_at_quiesce_ = true;
   ExecOptions options_;
   RunStats stats_;
 };
 
-/// Builds a query-log entry from one finished Run(): stats figures, the
-/// attached profile (per-operator self-times, queue-wait/skew) and the
-/// federation deltas. `error` non-empty marks the entry failed.
+/// Builds a query-log entry from one finished Run(): stats figures and the
+/// attached profile (per-operator self-times, queue-wait/skew). `error`
+/// non-empty marks the entry failed.
 obs::QueryLogEntry MakeQueryLogEntry(const std::string& query,
                                      const RunStats& stats,
                                      const std::string& error = "");

@@ -7,6 +7,7 @@
 
 #include "core/fused.h"
 #include "engine/shuffle.h"
+#include "gdm/query_context.h"
 #include "gdm/region_columns.h"
 #include "interval/accumulation.h"
 #include "interval/batch.h"
@@ -238,11 +239,11 @@ void ParallelExecutor::RunStage(const char* name, size_t n,
                                 const std::function<void(size_t)>& task) {
   trace_.tasks.fetch_add(n, kRelaxed);
   if (n == 0) return;
-  // Tasks read for the query that runs the stage: corrupt stored columns
-  // they read report to its log, on whichever thread they run.
-  gdm::AttrReadLog* attr_reads = gdm::AttrReadLog::Current();
+  // Tasks work for the query that runs the stage, on whichever thread they
+  // run: corrupt stored columns they read report to its log.
+  const gdm::QueryContext& query = gdm::QueryContext::Current();
   const std::function<void(size_t)> fn = [&](size_t i) {
-    gdm::AttrReadLog::Scope scope(attr_reads);
+    gdm::QueryContext::Scope scope(query);
     task(i);
   };
   obs::Tracer& tracer = obs::Tracer::Global();
@@ -250,7 +251,7 @@ void ParallelExecutor::RunStage(const char* name, size_t n,
     pool_.ParallelFor(n, fn);
     return;
   }
-  obs::Span span = tracer.StartSpan(name, "stage", tracer.current_parent());
+  obs::Span span = tracer.StartSpan(name, "stage", query.span);
   std::vector<int64_t> starts(n);
   std::vector<int64_t> durations(n);
   int64_t stage_start = tracer.NowNs();
@@ -303,9 +304,10 @@ Status ParallelExecutor::RunPartitionStages(const char* shuffle_stage,
     held.fetch_add(bytes, kRelaxed);
   });
   trace_.stage_barriers.fetch_add(1, kRelaxed);
-  // Charged to the active query's current operator while the buffers live:
-  // behind the barrier, the runner thread is still inside that operator.
-  obs::ScopedCharge shuffle_charge(held.load(kRelaxed));
+  // Charged to the query's current operator while the buffers live: behind
+  // the barrier, the runner thread is still inside that operator.
+  obs::ScopedCharge shuffle_charge(gdm::QueryContext::Current().account,
+                                   held.load(kRelaxed));
   FirstError errors;
   RunStage(compute_stage, n, [&](size_t pi) {
     if (errors.failed()) return;

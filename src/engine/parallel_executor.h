@@ -37,8 +37,7 @@ struct EngineOptions {
   BackendKind backend = BackendKind::kPipelined;
 };
 
-/// Accumulated execution accounting (reset per Execute call chain via
-/// ResetTrace). Counters are incremented with relaxed atomics: they are
+/// Accumulated execution accounting (reset per program via ResetStats()). Counters are incremented with relaxed atomics: they are
 /// independent tallies read after the pool has quiesced, so no ordering is
 /// required.
 ///
@@ -101,7 +100,6 @@ class ParallelExecutor : public core::Executor {
       const std::vector<const gdm::Dataset*>& inputs) override;
 
   const EngineTrace& trace() const { return trace_; }
-  void ResetTrace() { trace_.Reset(); }
 
   core::ExecutorStats stats() const override {
     return {trace_.tasks.load(std::memory_order_relaxed),
@@ -136,8 +134,9 @@ class ParallelExecutor : public core::Executor {
   /// Runs one parallel stage: counts `n` tasks into the trace and, when the
   /// global tracer is enabled, wraps the loop in a "stage" span carrying
   /// task count, mean queue wait, and per-partition min/median/max duration
-  /// (the skew figures). Disabled-tracer fast path is one relaxed load.
-  /// Each task runs under the caller's gdm::AttrReadLog.
+  /// (the skew figures), under the caller's operator span. Disabled-tracer
+  /// fast path is one relaxed load. Each task runs under the caller's
+  /// gdm::QueryContext.
   void RunStage(const char* name, size_t n,
                 const std::function<void(size_t)>& task);
 
@@ -150,7 +149,7 @@ class ParallelExecutor : public core::Executor {
   /// column-primary sample never builds them, and nothing is copied).
   /// Materialized: `shuffle_stage` encodes the rows of every slice of
   /// every partition, ONE barrier is counted, the buffers are charged to
-  /// the active query while they live, and `compute_stage` decodes each
+  /// the caller's query (gdm::QueryContext) while they live, and `compute_stage` decodes each
   /// partition's buffers into stores (first decode error wins) and runs
   /// `kernel` on slices spanning them. Kernels read `store->columns()`, and
   /// JOIN's emission `store->rows()`, the same way on both backends.

@@ -7,6 +7,7 @@
 #include <limits>
 #include <utility>
 
+#include "gdm/query_context.h"
 #include "obs/metrics.h"
 
 namespace gdms::gdm {
@@ -309,7 +310,7 @@ const ValueColumn& RegionColumns::attr(size_t a) const {
     slot.built.store(true, std::memory_order_release);
   });
   if (!slot.error.ok()) {
-    if (AttrReadLog* log = AttrReadLog::Current()) {
+    if (AttrReadLog* log = QueryContext::Current().attr_reads) {
       log->Report(this, a, slot.error);
     }
   }
@@ -321,17 +322,13 @@ void RegionColumns::ReportAttrErrors() const {
       !slots_->any_error.load(std::memory_order_acquire)) {
     return;
   }
-  AttrReadLog* log = AttrReadLog::Current();
+  AttrReadLog* log = QueryContext::Current().attr_reads;
   if (log == nullptr) return;
   for (size_t a = 0; a < num_attrs(); ++a) {
     Status error = attr_error(a);
     if (!error.ok()) log->Report(this, a, error);
   }
 }
-
-namespace {
-thread_local AttrReadLog* current_attr_read_log = nullptr;
-}  // namespace
 
 void AttrReadLog::Report(const RegionColumns* columns, size_t attr,
                          const Status& error) {
@@ -344,40 +341,9 @@ std::optional<AttrReadLog::Failure> AttrReadLog::first() const {
   return first_;
 }
 
-AttrReadLog* AttrReadLog::Current() { return current_attr_read_log; }
-
-AttrReadLog::Scope::Scope(AttrReadLog* log)
-    : previous_(current_attr_read_log) {
-  current_attr_read_log = log;
-}
-
-AttrReadLog::Scope::~Scope() { current_attr_read_log = previous_; }
-
 const ColumnChunk* RegionColumns::FindChunk(int32_t chrom) const {
   auto it = ChunkLowerBound(chunks_, chrom);
   return it == chunks_.end() || it->chrom != chrom ? nullptr : &*it;
-}
-
-int64_t RegionColumns::MaxLen(int32_t chrom) const {
-  const ColumnChunk* c = FindChunk(chrom);
-  return c == nullptr ? 0 : c->max_len;
-}
-
-size_t RegionColumns::LowerBoundLeft(int32_t chrom, int64_t pos) const {
-  auto it = ChunkLowerBound(chunks_, chrom);
-  if (it == chunks_.end()) return size_;
-  if (it->chrom != chrom) return it->begin;
-  size_t lo = it->begin;
-  size_t hi = it->end;
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (left(mid) < pos) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
 }
 
 std::vector<GenomicRegion> RegionColumns::ToRegions() const {

@@ -140,8 +140,7 @@ struct EncodedAttrs {
 /// beside the rows it describes (RegionStore::columns()), or decoded from
 /// a .gdmz blob (FromDecoded(): the coordinates at once, each attribute on
 /// first use), when they are the sample's only form and the rows are built
-/// from them on demand. Its chunk
-/// directory (chunks(), FindChunk(), MaxLen(), LowerBoundLeft()) is the
+/// from them on demand. Its chunk directory (chunks(), FindChunk()) is the
 /// sample's per-chromosome index.
 class RegionColumns {
  public:
@@ -181,13 +180,6 @@ class RegionColumns {
   /// The chromosome's chunk, or nullptr when the chromosome is absent;
   /// O(log #chroms).
   const ColumnChunk* FindChunk(int32_t chrom) const;
-  /// Max region length on `chrom`; 0 when the chromosome is absent.
-  int64_t MaxLen(int32_t chrom) const;
-  /// First row of the chromosome's chunk whose left >= pos (the chunk's end
-  /// when every row starts before pos). For an absent chromosome, its
-  /// insertion point: the first row of the next larger chromosome, or
-  /// size().
-  size_t LowerBoundLeft(int32_t chrom, int64_t pos) const;
 
   int64_t left(size_t i) const { return narrow_ ? left32_[i] : left64_[i]; }
   int64_t right(size_t i) const {
@@ -219,7 +211,7 @@ class RegionColumns {
   /// every caller gets the same column. A stored payload that turns out
   /// corrupt yields an all-NULL column of size() rows; attr_error() keeps
   /// the error, and every call that returns such a column reports it to
-  /// the calling thread's AttrReadLog.
+  /// the calling thread's query (QueryContext).
   const ValueColumn& attr(size_t a) const;
 
   /// True when attribute `a` has already been materialized (accounting /
@@ -235,7 +227,7 @@ class RegionColumns {
   }
 
   /// Reports every materialized attribute whose stored payload proved
-  /// corrupt to the calling thread's AttrReadLog: RegionStore::rows() calls
+  /// corrupt to the calling thread's query: RegionStore::rows() calls
   /// it on every access, since a row carries every attribute. One atomic
   /// load when no attribute is corrupt.
   void ReportAttrErrors() const;
@@ -307,11 +299,11 @@ class RegionColumns {
 /// is wrong. The query that reads it must fail — and only that query: the
 /// slot keeps its error, but a query that reads only intact columns of the
 /// same sample, before or after or beside it, succeeds. So reads report to
-/// a per-query log rather than marking the dataset: the query installs its
-/// log on its own thread and on every task it runs (Scope), and each read
-/// of a corrupt column — RegionColumns::attr(), or RegionStore::rows() over
-/// such columns — reports to the calling thread's log. Reads outside any
-/// Scope (a catalog decoding ahead, a test) report nowhere.
+/// a per-query log rather than marking the dataset: the log travels in the
+/// query's QueryContext, and each read of a corrupt column —
+/// RegionColumns::attr(), or RegionStore::rows() over such columns —
+/// reports to the calling thread's context. Reads outside any query (a
+/// catalog decoding ahead, a test) report nowhere.
 class AttrReadLog {
  public:
   struct Failure {
@@ -325,22 +317,6 @@ class AttrReadLog {
 
   /// The first failure reported, if any.
   std::optional<Failure> first() const;
-
-  /// The calling thread's log; nullptr outside any Scope.
-  static AttrReadLog* Current();
-
-  /// Makes `log` (which may be null) the calling thread's log until
-  /// destroyed, then restores the previous one.
-  class Scope {
-   public:
-    explicit Scope(AttrReadLog* log);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    AttrReadLog* previous_;
-  };
 
  private:
   mutable std::mutex mu_;

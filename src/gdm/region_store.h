@@ -71,7 +71,7 @@ class RegionStore {
   /// The rows. On a column-primary store the first call builds them from
   /// the columns; concurrent first callers race benignly like columns().
   /// Every call over columns with a corrupt stored attribute reports it to
-  /// the calling thread's AttrReadLog (see RegionColumns::attr()).
+  /// the calling thread's query (see RegionColumns::attr()).
   const Rows& rows() const;
   /// Lets a sample's regions bind to `const std::vector<GenomicRegion>&`
   /// parameters (the interval kernels, codecs and writers).

@@ -122,10 +122,4 @@ size_t IntervalIndex::CountOverlaps(int32_t chrom, int64_t left,
   return count;
 }
 
-bool IntervalIndex::AnyOverlap(int32_t chrom, int64_t left,
-                               int64_t right) const {
-  // No early-exit plumbing in Query; counting is fine at our scales.
-  return CountOverlaps(chrom, left, right) > 0;
-}
-
 }  // namespace gdms::interval

@@ -33,9 +33,6 @@ class IntervalIndex {
   /// Number of regions overlapping [left, right) on `chrom`.
   size_t CountOverlaps(int32_t chrom, int64_t left, int64_t right) const;
 
-  /// True if any region overlaps [left, right) on `chrom`.
-  bool AnyOverlap(int32_t chrom, int64_t left, int64_t right) const;
-
   size_t size() const { return entries_.size(); }
 
  private:

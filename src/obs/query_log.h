@@ -31,7 +31,8 @@ struct QueryLogEntry {
   uint64_t partitions = 0;
   uint64_t shuffle_bytes = 0;
   uint64_t stage_barriers = 0;
-  // Federation protocol deltas attributed to this query.
+  // Federation protocol deltas of a federated query (the shell's `.fed`
+  // takes them from its Coordinator's counters); zero for a local query.
   uint64_t fed_requests = 0;
   uint64_t fed_bytes_shipped = 0;
   uint64_t fed_bytes_received = 0;

@@ -184,9 +184,8 @@ std::string QueryAccounting::RenderTree(
 // ScopedCharge
 // ---------------------------------------------------------------------------
 
-ScopedCharge::ScopedCharge(uint64_t bytes) {
-  std::shared_ptr<QueryAccounting> account =
-      ResourceTracker::Global().active_query();
+ScopedCharge::ScopedCharge(std::shared_ptr<QueryAccounting> account,
+                           uint64_t bytes) {
   if (account == nullptr || bytes == 0) return;
   account_ = std::move(account);
   op_ = account_->current_op();
@@ -211,13 +210,6 @@ void ScopedCharge::Release() {
   account_->ReleaseFrom(op_, bytes_);
   account_.reset();
   bytes_ = 0;
-}
-
-void ChargeActiveQuery(uint64_t bytes) {
-  if (bytes == 0) return;
-  std::shared_ptr<QueryAccounting> account =
-      ResourceTracker::Global().active_query();
-  if (account != nullptr) account->Charge(bytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ namespace gdms::obs {
 ///
 /// Three cooperating pieces:
 ///
-///   - QueryAccounting: one scoped account per running query. The runner
-///     names the operator currently executing; every byte charge lands on
-///     that operator, so `peak_bytes`/`alloc_bytes` decompose into a
+///   - QueryAccounting: one scoped account per running query, carried in
+///     the query's gdm::QueryContext (this layer keeps no per-query state).
+///     The runner names the operator currently executing; every byte charge
+///     lands on that operator, so `peak_bytes`/`alloc_bytes` decompose into a
 ///     query -> operator -> bytes tree (RunStats, EXPLAIN ANALYZE attrs,
 ///     the query log's "mem" block, the shell's `.mem` command).
 ///   - ResourceTracker: the process-wide registry of storage residency.
@@ -95,14 +96,14 @@ class QueryAccounting {
   uint64_t peak_ = 0;
 };
 
-/// RAII transient charge against the process's active query account: bytes
-/// a stage allocates and frees within one operator (shuffle buffers). The
-/// operator attribution is captured at construction so destruction may run
-/// after the runner moved on. No-op when no query account is active.
+/// RAII transient charge against a query's account: bytes a stage allocates
+/// and frees within one operator (shuffle buffers). The operator
+/// attribution is captured at construction so destruction may run after the
+/// runner moved on. No-op without an account.
 class ScopedCharge {
  public:
   ScopedCharge() = default;
-  explicit ScopedCharge(uint64_t bytes);
+  ScopedCharge(std::shared_ptr<QueryAccounting> account, uint64_t bytes);
   ~ScopedCharge() { Release(); }
   ScopedCharge(const ScopedCharge&) = delete;
   ScopedCharge& operator=(const ScopedCharge&) = delete;
@@ -155,29 +156,6 @@ class ResourceTracker {
   ResourceTracker& operator=(const ResourceTracker&) = delete;
 
   static ResourceTracker& Global();
-
-  // ---- scoped query accounting ----
-
-  /// Publishes `account` as the process's active query account (nullptr
-  /// clears). The runner brackets each query with this; charge helpers and
-  /// ScopedCharge route through it. The slot holds a shared_ptr so a charge
-  /// captured by a concurrent runner can never dangle: attribution is
-  /// per-process (concurrent runners may cross-attribute engine scratch
-  /// charges, like the federation counters), but lifetime is safe.
-  void SetActiveQuery(std::shared_ptr<QueryAccounting> account) {
-    std::atomic_store_explicit(&active_, std::move(account),
-                               std::memory_order_release);
-  }
-  /// Clears the slot only when `account` is still the published one, so a
-  /// finishing query cannot clobber a sibling's registration.
-  void ClearActiveQuery(std::shared_ptr<QueryAccounting> account) {
-    std::atomic_compare_exchange_strong_explicit(
-        &active_, &account, std::shared_ptr<QueryAccounting>(),
-        std::memory_order_acq_rel, std::memory_order_acquire);
-  }
-  std::shared_ptr<QueryAccounting> active_query() const {
-    return std::atomic_load_explicit(&active_, std::memory_order_acquire);
-  }
 
   /// Runtime kill switch for byte accounting (the A3 accounting gate
   /// A/Bs against this). Enabled by default; when off, the runner skips
@@ -248,8 +226,6 @@ class ResourceTracker {
     uint64_t last_touch = 0;
   };
 
-  /// Accessed only through the std::atomic_* shared_ptr free functions.
-  std::shared_ptr<QueryAccounting> active_;
   std::atomic<bool> accounting_enabled_{true};
   std::atomic<uint64_t> budget_{0};
   std::atomic<uint64_t> touch_clock_{0};
@@ -264,11 +240,6 @@ class ResourceTracker {
   uint64_t prev_major_faults_ = 0;
   bool have_prev_faults_ = false;
 };
-
-/// Charges `bytes` to the active query account's current operator (no-op
-/// without an active account). For callers that allocate on behalf of the
-/// operator the runner is currently executing.
-void ChargeActiveQuery(uint64_t bytes);
 
 }  // namespace gdms::obs
 

@@ -93,11 +93,11 @@ class Span {
 /// no-op fast path every instrumentation site rides. When enabled, finished
 /// spans accumulate (bounded) until a caller collects them.
 ///
-/// Cross-layer parent linkage: the query runner publishes the span id of
-/// the operator currently executing (ExchangeCurrentParent); engine stages
-/// and federation hops attach their spans under it without any plumbing
-/// through the Executor interface. The runner evaluates one operator at a
-/// time, so a single slot suffices; worker threads only read it.
+/// The tracer holds no per-query state: callers name each span's parent.
+/// Layers below the query runner (engine stages, federation hops, metadata
+/// searches) take it from the calling thread's gdm::QueryContext, where the
+/// runner puts the span of the operator it is executing, so concurrent
+/// queries never parent under each other's operators.
 class Tracer {
  public:
   Tracer() : epoch_(std::chrono::steady_clock::now()) {}
@@ -121,15 +121,6 @@ class Tracer {
 
   /// Starts a span under `parent` (0 = root). Inactive handle when disabled.
   Span StartSpan(std::string name, const char* category, uint64_t parent);
-
-  /// Publishes `id` as the current cross-layer parent, returning the
-  /// previous value (restore it when the operator finishes).
-  uint64_t ExchangeCurrentParent(uint64_t id) {
-    return current_parent_.exchange(id, std::memory_order_relaxed);
-  }
-  uint64_t current_parent() const {
-    return current_parent_.load(std::memory_order_relaxed);
-  }
 
   /// Nanoseconds since the tracer epoch.
   int64_t NowNs() const {
@@ -162,7 +153,6 @@ class Tracer {
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> origin_{0};
   std::atomic<uint64_t> next_id_{1};
-  std::atomic<uint64_t> current_parent_{0};
   std::atomic<uint64_t> dropped_{0};
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;

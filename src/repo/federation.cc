@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "core/parser.h"
+#include "gdm/query_context.h"
 #include "io/gdm_format.h"
 #include "io/gdmz.h"
 #include "obs/exposition.h"
@@ -17,8 +18,8 @@ namespace gdms::repo {
 
 namespace {
 
-/// RAII site-hop telemetry: a "federation" span (nested under whatever
-/// operator span is current) carrying the protocol-counter deltas of the
+/// RAII site-hop telemetry: a "federation" span (nested under the calling
+/// thread's query span, gdm::QueryContext) carrying the protocol-counter deltas of the
 /// enclosed interaction, a hop counter, and a per-hop latency histogram.
 /// The byte/request registry totals themselves are mirrored at the
 /// Coordinator::Account increment sites, not here, so probes issued
@@ -31,7 +32,7 @@ class HopScope {
         start_ns_(obs::Tracer::Global().NowNs()),
         span_(obs::Tracer::Global().StartSpan(
             std::move(name), "federation",
-            obs::Tracer::Global().current_parent())) {}
+            gdm::QueryContext::Current().span)) {}
 
   ~HopScope() {
     static obs::Counter* hops =

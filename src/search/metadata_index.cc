@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/string_util.h"
+#include "gdm/query_context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -73,7 +74,8 @@ std::vector<SearchHit> MetadataIndex::Search(const std::string& query,
   obs::Tracer& tracer = obs::Tracer::Global();
   int64_t start_ns = tracer.NowNs();
   obs::Span span =
-      tracer.StartSpan("search:" + query, "search", tracer.current_parent());
+      tracer.StartSpan("search:" + query, "search",
+                       gdm::QueryContext::Current().span);
   std::unordered_map<uint32_t, double> scores;
   double n_docs = static_cast<double>(std::max<size_t>(1, docs_.size()));
   size_t matched_terms = 0;

@@ -106,8 +106,8 @@ TEST(RegionColumnsTest, RoundTripsAllValueTypes) {
   ASSERT_EQ(cols.chunks().size(), 2u);
   EXPECT_EQ(cols.chunks()[0].chrom, InternChrom("chr1"));
   EXPECT_EQ(cols.chunks()[0].end, 2u);
-  EXPECT_EQ(cols.MaxLen(InternChrom("chr1")), 15);
-  EXPECT_EQ(cols.MaxLen(InternChrom("chr2")), 0);
+  EXPECT_EQ(cols.FindChunk(InternChrom("chr1"))->max_len, 15);
+  EXPECT_EQ(cols.FindChunk(InternChrom("chr2"))->max_len, 0);
   // The shared string interns once in the dictionary.
   EXPECT_EQ(cols.attr(2).dict().size(), 1u);
 

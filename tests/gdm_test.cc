@@ -301,8 +301,7 @@ TEST(DatasetTest, DescribeMentionsSchemaAndMeta) {
 }
 
 // The columns' chunk directory is a sample's per-chromosome index: the
-// engine's partitioners read chromosome ranges, max region lengths and
-// left-coordinate lower bounds from it.
+// engine's partitioners read chromosome ranges from it.
 TEST(ChunkDirectoryTest, SlicesAndMaxLen) {
   // Raw chromosome ids, so the absent chromosome's insertion point does not
   // depend on the order names were interned in.
@@ -320,20 +319,11 @@ TEST(ChunkDirectoryTest, SlicesAndMaxLen) {
   EXPECT_EQ(c1->begin, 0u);
   EXPECT_EQ(c1->end, 3u);
   EXPECT_EQ(c1->max_len, 1000);
-  EXPECT_EQ(cols.MaxLen(kChr1), 1000);
-  EXPECT_EQ(cols.MaxLen(kChr2), 0);
   EXPECT_EQ(cols.FindChunk(kChr2), nullptr);
-  // Lower bound on left within a chromosome's chunk.
-  EXPECT_EQ(cols.LowerBoundLeft(kChr1, 150), 1u);
-  EXPECT_EQ(cols.LowerBoundLeft(kChr1, 151), 2u);
-  EXPECT_EQ(cols.LowerBoundLeft(kChr1, 10000), 3u);
-  EXPECT_EQ(cols.LowerBoundLeft(kChr3, 0), 3u);
-  // An absent chromosome yields its insertion point: the first row of the
-  // next larger chromosome, or size() past the last one.
-  EXPECT_EQ(cols.LowerBoundLeft(kChr2, 0), 3u);
-  EXPECT_EQ(cols.LowerBoundLeft(kChr2, 1 << 30), 3u);
-  EXPECT_EQ(cols.LowerBoundLeft(kChr4, 0), 4u);
-  EXPECT_EQ(cols.LowerBoundLeft(0, 0), 0u);
+  EXPECT_EQ(cols.FindChunk(kChr4), nullptr);
+  ASSERT_NE(cols.FindChunk(kChr3), nullptr);
+  EXPECT_EQ(cols.FindChunk(kChr3)->begin, 3u);
+  EXPECT_EQ(cols.FindChunk(kChr3)->max_len, 5);
 }
 
 TEST(ChunkDirectoryTest, SampleCachesAndReuses) {
@@ -342,7 +332,7 @@ TEST(ChunkDirectoryTest, SampleCachesAndReuses) {
   s.regions.emplace_back(InternChrom("chr2"), 5, 105);
   RegionSchema schema;
   const RegionColumns& cols = s.columns(schema);
-  EXPECT_EQ(cols.MaxLen(InternChrom("chr2")), 100);
+  EXPECT_EQ(cols.FindChunk(InternChrom("chr2"))->max_len, 100);
   // Unchanged storage: same cached object.
   EXPECT_EQ(&s.columns(schema), &cols);
 }
@@ -353,17 +343,17 @@ TEST(ChunkDirectoryTest, InvalidatesAfterRegionMutation) {
   for (int i = 0; i < 8; ++i) {
     s.regions.emplace_back(InternChrom("chr1"), i * 100, i * 100 + 10);
   }
-  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr1")), 10);
+  EXPECT_EQ(s.columns(schema).FindChunk(InternChrom("chr1"))->max_len, 10);
   // Size change (append) is detected automatically.
   s.regions.emplace_back(InternChrom("chr2"), 0, 500);
-  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr2")), 500);
+  EXPECT_EQ(s.columns(schema).FindChunk(InternChrom("chr2"))->max_len, 500);
   // In-place coordinate mutation goes through a non-const accessor, which
   // drops the columns too.
   s.regions[0].right = s.regions[0].left + 9000;
   s.SortNow();
-  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr1")), 9000);
+  EXPECT_EQ(s.columns(schema).FindChunk(InternChrom("chr1"))->max_len, 9000);
   s.regions[1].right = s.regions[1].left + 20000;
-  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr1")), 20000);
+  EXPECT_EQ(s.columns(schema).FindChunk(InternChrom("chr1"))->max_len, 20000);
 }
 
 TEST(RegionStoreTest, CopiesShareUntilWritten) {
@@ -406,7 +396,7 @@ TEST(RegionStoreTest, MutatingUnsharedStoreDropsDerivedFacts) {
   Sample s(1);
   s.regions.emplace_back(InternChrom("chr1"), 10, 20, Strand::kNone,
                          std::vector<Value>{Value(int64_t{1})});
-  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr1")), 10);
+  EXPECT_EQ(s.columns(schema).FindChunk(InternChrom("chr1"))->max_len, 10);
   EXPECT_EQ(s.columns(schema).attr(0).ints()[0], 1);
   uint64_t bytes = s.regions.RowBytes();
   const void* id = s.regions.storage_id();
@@ -419,7 +409,7 @@ TEST(RegionStoreTest, MutatingUnsharedStoreDropsDerivedFacts) {
   rows[0].values[0] = Value(int64_t{9});
   rows.emplace_back(InternChrom("chr1"), 600, 700, Strand::kNone,
                     std::vector<Value>{Value(int64_t{3})});
-  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr1")), 500);
+  EXPECT_EQ(s.columns(schema).FindChunk(InternChrom("chr1"))->max_len, 500);
   EXPECT_EQ(s.columns(schema).attr(0).ints()[0], 9);
   EXPECT_GT(s.regions.RowBytes(), bytes);
 }

@@ -299,7 +299,6 @@ TEST(IntervalIndexTest, SingleRegion) {
   IntervalIndex idx(rs);
   EXPECT_EQ(idx.CountOverlaps(InternChrom("chr1"), 150, 160), 1u);
   EXPECT_EQ(idx.CountOverlaps(InternChrom("chr1"), 200, 300), 0u);
-  EXPECT_TRUE(idx.AnyOverlap(InternChrom("chr1"), 0, 101));
 }
 
 TEST(IntervalIndexTest, RandomizedAgainstBruteForce) {

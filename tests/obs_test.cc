@@ -154,13 +154,6 @@ TEST(TracerTest, CollectCopiesOnlyTheRootedSubtree) {
   EXPECT_EQ(tracer.pending(), 0u);
 }
 
-TEST(TracerTest, ExchangeCurrentParentRoundTrips) {
-  Tracer& tracer = Tracer::Global();
-  uint64_t prev = tracer.ExchangeCurrentParent(17);
-  EXPECT_EQ(tracer.current_parent(), 17u);
-  EXPECT_EQ(tracer.ExchangeCurrentParent(prev), 17u);
-}
-
 TEST(TracerTest, ComputeSkewMatchesHandComputedValues) {
   SkewStats s = ComputeSkew({5000, 0, 1000});
   EXPECT_EQ(s.min_ns, 0);
@@ -190,7 +183,7 @@ TEST(TracerTest, ConcurrentSpanEmissionIsRaceFree) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&tracer, t] {
       for (int i = 0; i < kSpansPerThread; ++i) {
-        Span s = tracer.StartSpan("worker", "stage", tracer.current_parent());
+        Span s = tracer.StartSpan("worker", "stage", 0);
         s.AddAttr("thread", static_cast<double>(t));
         s.AddAttr("i", static_cast<double>(i));
         s.End();

@@ -1,13 +1,16 @@
 // Resource-accounting tests: tracked bytes against ground truth (columnar
 // caches, .gdmz mappings, per-query accounting), the watermark shedder's
-// budget contract, eviction-then-requery bit-identity, and concurrent
-// accounting under the flat scheduler (exercised under TSan in CI).
+// budget contract, eviction-then-requery bit-identity, concurrent
+// accounting under the flat scheduler, and per-query attribution of spans
+// and bytes across runners running side by side (exercised under TSan in
+// CI).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 
@@ -17,7 +20,9 @@
 #include "gdm/region_columns.h"
 #include "io/gdm_format.h"
 #include "io/gdmz.h"
+#include "obs/profile.h"
 #include "obs/resource.h"
+#include "obs/trace.h"
 #include "sim/generators.h"
 
 namespace gdms::obs {
@@ -31,7 +36,6 @@ class TrackerStateGuard {
   ~TrackerStateGuard() {
     ResourceTracker::Global().set_budget_bytes(0);
     ResourceTracker::Global().set_accounting_enabled(true);
-    ResourceTracker::Global().SetActiveQuery(nullptr);
   }
 };
 
@@ -77,12 +81,10 @@ TEST(QueryAccountingTest, ChargeReleaseArithmetic) {
 }
 
 TEST(QueryAccountingTest, ScopedChargeKeepsAttributionAcrossOpChange) {
-  TrackerStateGuard guard;
   auto account = std::make_shared<QueryAccounting>();
-  ResourceTracker::Global().SetActiveQuery(account);
   account->SetCurrentOp("MAP");
   {
-    ScopedCharge charge(2048);
+    ScopedCharge charge(account, 2048);
     // The runner has moved on, but the scoped bytes stay on MAP.
     account->SetCurrentOp("SELECT");
     EXPECT_EQ(account->current_bytes(), 2048u);
@@ -92,26 +94,10 @@ TEST(QueryAccountingTest, ScopedChargeKeepsAttributionAcrossOpChange) {
   auto stats = account->OperatorStats();
   ASSERT_FALSE(stats.empty());
   EXPECT_EQ(stats[0].op, "MAP");
-  ResourceTracker::Global().SetActiveQuery(nullptr);
 
-  // Without an active account the whole mechanism is a no-op.
-  ScopedCharge idle(4096);
-  ChargeActiveQuery(4096);
+  // Without an account the charge is a no-op.
+  ScopedCharge idle(nullptr, 4096);
   EXPECT_EQ(account->current_bytes(), 0u);
-}
-
-TEST(QueryAccountingTest, ClearActiveQueryOnlyClearsOwnRegistration) {
-  TrackerStateGuard guard;
-  auto first = std::make_shared<QueryAccounting>();
-  auto second = std::make_shared<QueryAccounting>();
-  ResourceTracker::Global().SetActiveQuery(first);
-  // A sibling query publishes its own account before `first` finishes…
-  ResourceTracker::Global().SetActiveQuery(second);
-  // …so `first` finishing must NOT clobber the sibling's registration.
-  ResourceTracker::Global().ClearActiveQuery(first);
-  EXPECT_EQ(ResourceTracker::Global().active_query(), second);
-  ResourceTracker::Global().ClearActiveQuery(second);
-  EXPECT_EQ(ResourceTracker::Global().active_query(), nullptr);
 }
 
 TEST(ResourceTest, ColumnarCacheBytesMatchGroundTruth) {
@@ -393,6 +379,131 @@ TEST(ResourceTest, ConcurrentAccountingUnderFlatScheduler) {
   }
   stop.store(true);
   sampler.join();
+}
+
+/// Forwards to a wrapped executor; when gated, its MAP Execute announces its
+/// entry and then waits to be released before delegating.
+class GatedExecutor : public core::Executor {
+ public:
+  GatedExecutor(core::Executor* inner, bool gated)
+      : inner_(inner), gated_(gated) {}
+
+  Result<gdm::Dataset> Execute(
+      const core::PlanNode& node,
+      const std::vector<const gdm::Dataset*>& inputs) override {
+    if (gated_ && node.kind == core::OpKind::kMap) {
+      entered_.set_value();
+      released_.wait();
+    }
+    return inner_->Execute(node, inputs);
+  }
+  core::ExecutorStats stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+
+  void WaitEntered() { entered_.get_future().wait(); }
+  void Release() { release_.set_value(); }
+
+ private:
+  core::Executor* inner_;
+  bool gated_;
+  std::promise<void> entered_;
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+};
+
+/// One traced runner over a materialized-backend engine (so MAP shuffles
+/// and charges its shuffle buffers), optionally gated at its MAP.
+struct TracedMapRunner {
+  explicit TracedMapRunner(bool gated)
+      : engine([] {
+          engine::EngineOptions options;
+          options.threads = 2;
+          options.backend = engine::BackendKind::kMaterialized;
+          return options;
+        }()),
+        gate(&engine, gated),
+        runner(&gate) {
+    auto genome = gdm::GenomeAssembly::HumanLike(4, 20000000);
+    sim::PeakDatasetOptions popt;
+    popt.num_samples = 3;
+    popt.peaks_per_sample = 300;
+    runner.RegisterDataset(sim::GeneratePeakDataset(genome, popt, 37));
+    auto catalog = sim::GenerateGenes(genome, 150, 37);
+    runner.RegisterDataset(sim::GenerateAnnotations(genome, catalog, {}, 37));
+  }
+
+  Status Run() {
+    return runner
+        .Run("M = MAP(n AS COUNT) ANNOTATIONS ENCODE; MATERIALIZE M;")
+        .status();
+  }
+
+  engine::ParallelExecutor engine;
+  GatedExecutor gate;
+  core::QueryRunner runner;
+};
+
+double SpanAttr(const SpanRecord& rec, const std::string& key) {
+  for (const auto& [k, v] : rec.attrs) {
+    if (k == key) return v;
+  }
+  return 0;
+}
+
+/// The MAP span's `tasks` and the sum of its child stage spans' `tasks`.
+std::pair<double, double> MapTasksAndStageSum(const Profile& profile) {
+  for (const Profile::Node& node : profile.nodes()) {
+    if (node.rec->name != "MAP") continue;
+    double stages = 0;
+    for (size_t child : node.children) {
+      const SpanRecord& rec = *profile.nodes()[child].rec;
+      if (rec.category == "stage") stages += SpanAttr(rec, "tasks");
+    }
+    return {SpanAttr(*node.rec, "tasks"), stages};
+  }
+  return {-1, -1};
+}
+
+// Two runners side by side, ordered by latches so that each one's MAP runs
+// while the other is inside its own MAP: A enters its MAP and waits; B
+// starts and waits inside its MAP; A then runs and finishes; then B runs.
+// Each query's stage spans must nest under its own MAP span and its
+// shuffle charge land in its own account, exactly as when run alone.
+TEST(QueryAccountingTest, ConcurrentRunnersAttributeStagesAndBytes) {
+  TrackerStateGuard guard;
+  Tracer::Global().Clear();
+  Tracer::Global().set_enabled(true);
+  uint64_t alone_alloc = 0;
+  {
+    TracedMapRunner alone(/*gated=*/false);
+    ASSERT_TRUE(alone.Run().ok());
+    alone_alloc = alone.runner.last_stats().alloc_bytes;
+    ASSERT_GT(alone.runner.last_stats().executor.shuffle_bytes, 0u);
+  }
+  TracedMapRunner a(/*gated=*/true);
+  TracedMapRunner b(/*gated=*/true);
+  Status a_status, b_status;
+  std::thread a_thread([&] { a_status = a.Run(); });
+  a.gate.WaitEntered();
+  std::thread b_thread([&] { b_status = b.Run(); });
+  b.gate.WaitEntered();
+  a.gate.Release();
+  a_thread.join();
+  b.gate.Release();
+  b_thread.join();
+  Tracer::Global().set_enabled(false);
+  Tracer::Global().Clear();
+
+  ASSERT_TRUE(a_status.ok()) << a_status.ToString();
+  ASSERT_TRUE(b_status.ok()) << b_status.ToString();
+  for (const TracedMapRunner* r : {&a, &b}) {
+    const core::RunStats& stats = r->runner.last_stats();
+    ASSERT_NE(stats.profile, nullptr);
+    auto [tasks, stage_tasks] = MapTasksAndStageSum(*stats.profile);
+    EXPECT_GT(tasks, 0);
+    EXPECT_EQ(stage_tasks, tasks);
+    EXPECT_EQ(stats.alloc_bytes, alone_alloc);
+  }
 }
 
 }  // namespace

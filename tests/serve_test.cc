@@ -5,6 +5,8 @@
 // sessions hammering the caches while a writer bumps dataset versions.
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
 #include <mutex>
 #include <string>
@@ -15,6 +17,8 @@
 
 #include "core/runner.h"
 #include "io/gdm_format.h"
+#include "obs/profile.h"
+#include "obs/trace.h"
 #include "serve/plan_cache.h"
 #include "serve/serve_catalog.h"
 #include "serve/session_manager.h"
@@ -38,6 +42,10 @@ gdm::Dataset Annotations() {
   sim::GeneCatalog genes = sim::GenerateGenes(TestGenome(), 200, 21);
   return sim::GenerateAnnotations(TestGenome(), genes, {}, 21);
 }
+
+const char* kJoinQuery =
+    "J = JOIN(DLE(20000); CAT) ANNOTATIONS ENCODE;\n"
+    "MATERIALIZE J;\n";
 
 const char* kCoverQuery =
     "MARKED = SELECT(dataType == 'ChipSeq') ENCODE;\n"
@@ -189,14 +197,32 @@ TEST(SessionManager, QueueDeadlineShedsWithoutExecuting) {
   manager.Execute(kCoverQuery);
 
   // Fill the single worker's pipeline with no-deadline work, then submit a
-  // query whose deadline will certainly pass while it waits in the queue.
+  // query whose deadline will certainly pass while it waits in the queue:
+  // the first query's callback holds the worker until the late query has
+  // been submitted and 1 ms has passed. (Relying on COVER's run time alone
+  // let the worker go idle before the late query was submitted when the
+  // test thread was descheduled in between.)
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
   std::atomic<int> done{0};
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(
-        manager.Submit(kCoverQuery, [&](const ServeResponse&) { ++done; })
-            .ok());
+    ASSERT_TRUE(manager
+                    .Submit(kCoverQuery,
+                            [&done, released, i](const ServeResponse&) {
+                              if (i == 0) released.wait();
+                              ++done;
+                            })
+                    .ok());
   }
-  ServeResponse late = manager.Execute(kCoverQuery, /*deadline_ms=*/0.01);
+  std::promise<ServeResponse> late_response;
+  auto late_id = manager.Submit(
+      kCoverQuery,
+      [&late_response](const ServeResponse& r) { late_response.set_value(r); },
+      /*deadline_ms=*/0.01);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  release.set_value();
+  ASSERT_TRUE(late_id.ok());
+  ServeResponse late = late_response.get_future().get();
   EXPECT_EQ(late.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(late.results, nullptr);
   manager.Drain();
@@ -259,6 +285,68 @@ TEST(SessionManager, ConcurrentSessionsSurviveVersionBumps) {
   EXPECT_EQ(responses.size(), admitted.size());
   for (uint64_t id : admitted) EXPECT_EQ(responses.at(id), 1);
   EXPECT_GE(catalog.Version("ENCODE"), 11u);
+}
+
+double SpanAttr(const obs::SpanRecord& rec, const std::string& key) {
+  for (const auto& [k, v] : rec.attrs) {
+    if (k == key) return v;
+  }
+  return 0;
+}
+
+// Four traced workers run MAP, COVER and JOIN side by side. Every engine
+// stage span must nest under the operator of its own query, so in every
+// response's profile each operator span's `tasks` equals the sum of its
+// child stage spans' `tasks`.
+TEST(SessionManager, ConcurrentTracedQueriesKeepTheirOwnStageSpans) {
+  ServeCatalog catalog;
+  catalog.Publish(Encode(7));
+  catalog.Publish(Annotations());
+  ServeOptions opts;
+  opts.workers = 4;
+  opts.queue_limit = 64;
+  opts.result_cache_bytes = 0;  // every query runs the engine
+  SessionManager manager(&catalog, opts);
+  const std::string queries[] = {MapQuery("CTCF"), std::string(kCoverQuery),
+                                 std::string(kJoinQuery)};
+
+  obs::Tracer::Global().Clear();
+  obs::Tracer::Global().set_enabled(true);
+  std::mutex mu;
+  std::vector<ServeResponse> responses;
+  for (int i = 0; i < 48; ++i) {
+    ASSERT_TRUE(manager
+                    .Submit(queries[i % 3],
+                            [&](const ServeResponse& resp) {
+                              std::lock_guard<std::mutex> lock(mu);
+                              responses.push_back(resp);
+                            })
+                    .ok());
+  }
+  manager.Drain();
+  obs::Tracer::Global().set_enabled(false);
+  obs::Tracer::Global().Clear();
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(responses.size(), 48u);
+  for (const ServeResponse& resp : responses) {
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    ASSERT_NE(resp.stats.profile, nullptr);
+    const obs::Profile& profile = *resp.stats.profile;
+    double query_tasks = 0;
+    for (const obs::Profile::Node& node : profile.nodes()) {
+      if (node.rec->category != "operator") continue;
+      double stage_tasks = 0;
+      for (size_t child : node.children) {
+        const obs::SpanRecord& rec = *profile.nodes()[child].rec;
+        if (rec.category == "stage") stage_tasks += SpanAttr(rec, "tasks");
+      }
+      EXPECT_EQ(stage_tasks, SpanAttr(*node.rec, "tasks"))
+          << node.rec->name << " of query " << resp.id;
+      query_tasks += stage_tasks;
+    }
+    EXPECT_GT(query_tasks, 0) << "query " << resp.id;
+  }
 }
 
 }  // namespace
