@@ -102,14 +102,8 @@ gdm::Value AggAccumulator::Finish() const {
     case AggFunc::kMax:
       return non_null_ == 0 ? Value::Null() : Value(max_);
     case AggFunc::kMedian: {
-      if (numbers_.empty()) return Value::Null();
-      std::vector<double> copy = numbers_;
-      size_t mid = copy.size() / 2;
-      std::nth_element(copy.begin(), copy.begin() + mid, copy.end());
-      double hi = copy[mid];
-      if (copy.size() % 2 == 1) return Value(hi);
-      double lo = *std::max_element(copy.begin(), copy.begin() + mid);
-      return Value((lo + hi) / 2.0);
+      std::optional<double> median = Median();
+      return median.has_value() ? Value(*median) : Value::Null();
     }
     case AggFunc::kStd: {
       if (non_null_ < 2) return non_null_ == 0 ? Value::Null() : Value(0.0);
@@ -119,13 +113,30 @@ gdm::Value AggAccumulator::Finish() const {
       return Value(std::sqrt(var));
     }
     case AggFunc::kBag: {
-      std::vector<std::string> copy = strings_;
-      std::sort(copy.begin(), copy.end());
-      copy.erase(std::unique(copy.begin(), copy.end()), copy.end());
-      return copy.empty() ? Value::Null() : Value(Join(copy, " "));
+      std::optional<std::string> bag = Bag();
+      return bag.has_value() ? Value(std::move(*bag)) : Value::Null();
     }
   }
   return Value::Null();
+}
+
+std::optional<double> AggAccumulator::Median() const {
+  if (numbers_.empty()) return std::nullopt;
+  std::vector<double> copy = numbers_;
+  size_t mid = copy.size() / 2;
+  std::nth_element(copy.begin(), copy.begin() + mid, copy.end());
+  double hi = copy[mid];
+  if (copy.size() % 2 == 1) return hi;
+  double lo = *std::max_element(copy.begin(), copy.begin() + mid);
+  return (lo + hi) / 2.0;
+}
+
+std::optional<std::string> AggAccumulator::Bag() const {
+  std::vector<std::string> copy = strings_;
+  std::sort(copy.begin(), copy.end());
+  copy.erase(std::unique(copy.begin(), copy.end()), copy.end());
+  if (copy.empty()) return std::nullopt;
+  return Join(copy, " ");
 }
 
 Result<std::vector<size_t>> ResolveAggInputs(

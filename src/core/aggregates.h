@@ -1,6 +1,7 @@
 #ifndef GDMS_CORE_AGGREGATES_H_
 #define GDMS_CORE_AGGREGATES_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,10 @@ class AggAccumulator {
   void AddRegion() { ++region_count_; }
 
   gdm::Value Finish() const;
+
+  /// Finish() of MEDIAN and of BAG, typed (nullopt for NULL).
+  std::optional<double> Median() const;
+  std::optional<std::string> Bag() const;
 
  private:
   AggFunc func_;

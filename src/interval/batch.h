@@ -98,7 +98,8 @@ void MergeSlices(const std::vector<ColumnSlice>& slices, Emit&& emit) {
   auto push = [&](size_t s, size_t row) {
     if (row == slices[s].end) return;
     const gdm::RegionColumns& c = *slices[s].cols;
-    heads.push({c.left(row), c.right(row), c.strands()[row], s, row});
+    heads.push({c.left(row), c.right(row),
+                static_cast<uint8_t>(c.strand(row)), s, row});
   };
   for (size_t s = 0; s < slices.size(); ++s) push(s, slices[s].begin);
   while (!heads.empty()) {

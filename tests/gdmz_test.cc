@@ -445,6 +445,58 @@ TEST(GdmzTest, StoredCoverReadsOnlyWhatItAggregates) {
                 .message());
 }
 
+// A MAP output shares its stored ref's attribute slots. A corrupt ref
+// attribute fails the queries that hand it out or read it — naming the
+// stored ref sample, on every thread count and backend — while a query that
+// reads only coordinates and intact columns through the output succeeds.
+TEST(GdmzTest, MapOverCorruptStoredRefFailsNamingTheStoredSample) {
+  gdm::Dataset peaks = TextStableDataset();
+  gdm::Dataset genes = Annotations();
+  const std::string blob = WriteGdmzString(peaks);
+  const std::string bad = BreakName(blob, 1);
+  const size_t name = peaks.schema().IndexOf("name").value();
+  const char* kRefMap =
+      "R = MAP(n AS COUNT) ENCODE ANNOTATIONS; MATERIALIZE R;";
+  const char* kCoverOfMap =
+      "M = MAP(n AS COUNT) ENCODE ANNOTATIONS;\n"
+      "R = COVER(1, ANY; t AS SUM(n), s AS SUM(signal)) M; MATERIALIZE R;";
+  const char* kBagOfExp =
+      "R = MAP(b AS BAG(name)) ANNOTATIONS ENCODE; MATERIALIZE R;";
+  for (size_t threads : {1, 4}) {
+    for (auto backend : {engine::BackendKind::kPipelined,
+                         engine::BackendKind::kMaterialized}) {
+      engine::EngineOptions opt;
+      opt.threads = threads;
+      opt.backend = backend;
+      engine::ParallelExecutor exec(opt);
+      for (const char* gmql : {kRefMap, kBagOfExp}) {
+        gdm::Dataset stored = ParseOk(bad);
+        auto got = RunR(gmql, {stored, genes}, &exec);
+        ASSERT_FALSE(got.ok()) << gmql;
+        const gdm::RegionColumns* cols =
+            stored.sample(1).regions.stored_columns();
+        EXPECT_EQ(got.status().code(), StatusCode::kParseError);
+        EXPECT_EQ(got.status().message(),
+                  stored.NameReadFailure({cols, name, cols->attr_error(name)})
+                      .message())
+            << gmql;
+      }
+      if (backend == engine::BackendKind::kMaterialized) continue;
+      // The materialized backend ships rows, which carry every attribute;
+      // the pipelined one reads the MAP output's columns.
+      auto intact = RunR(kCoverOfMap, {ParseOk(blob), genes}, &exec);
+      ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+      gdm::Dataset stored = ParseOk(bad);
+      auto cover = RunR(kCoverOfMap, {stored, genes}, &exec);
+      ASSERT_TRUE(cover.ok()) << cover.status().ToString();
+      EXPECT_EQ(cover.value(), intact.value());
+      for (const auto& s : stored.samples()) {
+        EXPECT_FALSE(s.regions.stored_columns()->attr_built(name));
+      }
+    }
+  }
+}
+
 // A site serving a stored dataset whose column is corrupt fails the remote
 // query with the ParseError instead of shipping the column as NULLs.
 TEST(GdmzTest, CorruptStoredColumnFailsRemoteQuery) {
