@@ -1,10 +1,10 @@
 #ifndef GDMS_CORE_FUSED_H_
 #define GDMS_CORE_FUSED_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
+#include "core/operators.h"
 #include "core/plan.h"
 #include "gdm/dataset.h"
 
@@ -16,26 +16,24 @@ namespace gdms::core {
 /// stages (SELECT / PROJECT / EXTEND). The producer's executor finishes each
 /// output sample exactly once; a FusedTail applies every consumer stage to
 /// that sample in place — the downstream operators never see (or allocate) an
-/// intermediate dataset. Binding resolves predicates, projection indexes and
-/// aggregate inputs against the producer's output schema once; ApplySample is
-/// then const and safe to call concurrently from worker threads (the same
-/// contract as a bound RegionPredicate).
+/// intermediate dataset. The stages are the operators' own bound bodies
+/// (SampleOp), each bound once against the previous stage's output schema;
+/// ApplySample is then const and safe to call concurrently from worker
+/// threads.
 class FusedTail {
  public:
   FusedTail() = default;
 
   /// Binds the consumer stages (`node->fused_stages[1..]`) against the
-  /// producer's output schema. Errors mirror the unfused operators (unknown
-  /// attribute in a predicate, projection or aggregate). A null `node`
-  /// binds the empty tail of an unfused producer: it keeps every sample
-  /// and names the output `producer_name`.
+  /// producer's output schema, with the unfused operators' errors. A null
+  /// `node` binds the empty tail of an unfused producer: it keeps every
+  /// sample and names the output `producer_name`.
   static Result<FusedTail> Bind(const PlanNode* node,
                                 const char* producer_name,
                                 const gdm::RegionSchema& producer_schema);
 
-  /// Region schema after every stage (PROJECT rewrites it; SELECT and
-  /// EXTEND pass it through).
-  const gdm::RegionSchema& output_schema() const { return schema_; }
+  /// Region schema after every stage.
+  const gdm::RegionSchema& output_schema() const;
 
   /// Dataset name the final stage's unfused operator would have produced
   /// (the producer's name when there is no consumer stage).
@@ -47,10 +45,9 @@ class FusedTail {
   bool ApplySample(gdm::Sample* sample) const;
 
  private:
-  struct Stage;
   const char* producer_name_ = "";
-  gdm::RegionSchema schema_;
-  std::vector<std::shared_ptr<const Stage>> stages_;
+  gdm::RegionSchema producer_schema_;
+  std::vector<SampleOp::Ptr> stages_;
 };
 
 }  // namespace gdms::core

@@ -108,93 +108,196 @@ std::vector<GenomicRegion> ConcatRegions(
   return out;
 }
 
+class SelectOp final : public SampleOp {
+ public:
+  SelectOp(MetaPredicate::Ptr meta, RegionPredicate::Ptr region,
+           const RegionSchema& schema)
+      : SampleOp("SELECT", schema),
+        meta_(std::move(meta)),
+        region_(std::move(region)) {}
+
+  bool Keeps(const Metadata& meta) const override { return meta_->Eval(meta); }
+
+  /// The rows the region predicate accepts, through RegionStore::Filtered:
+  /// a selection that keeps every row shares the input's storage. A
+  /// trivially true predicate reads no row, so a column-primary store
+  /// stays column-primary.
+  void Rewrite(Sample* sample) const override {
+    if (region_->IsTriviallyTrue()) return;
+    const gdm::RegionStore& in = sample->regions;
+    const gdm::RegionStore::Rows& rows = in.rows();
+    std::vector<char> keep(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) keep[i] = region_->Eval(rows[i]);
+    sample->regions = in.Filtered(keep);
+  }
+
+ private:
+  MetaPredicate::Ptr meta_;
+  RegionPredicate::Ptr region_;
+};
+
+class ProjectOp final : public SampleOp {
+ public:
+  ProjectOp(const ProjectParams& params, std::vector<size_t> keep_indexes,
+            std::vector<RegionExpr::Ptr> exprs, RegionSchema schema)
+      : SampleOp("PROJECT", std::move(schema)),
+        keep_indexes_(std::move(keep_indexes)),
+        exprs_(std::move(exprs)),
+        keep_meta_(params.keep_meta),
+        meta_all_(params.meta_all) {}
+
+  /// Builds each output row once from its input row: kept attributes, then
+  /// the new ones.
+  void Rewrite(Sample* sample) const override {
+    const gdm::RegionStore& in = sample->regions;
+    std::vector<GenomicRegion> rows;
+    rows.reserve(in.size());
+    for (const auto& r : in.rows()) {
+      GenomicRegion nr(r.chrom, r.left, r.right, r.strand);
+      nr.values.reserve(output_schema().size());
+      for (size_t ki : keep_indexes_) nr.values.push_back(r.values[ki]);
+      for (const auto& expr : exprs_) nr.values.push_back(expr->Eval(r));
+      rows.push_back(std::move(nr));
+    }
+    sample->regions = std::move(rows);
+    if (meta_all_) return;
+    Metadata projected;
+    for (const auto& attr : keep_meta_) {
+      for (const auto& value : sample->metadata.ValuesOf(attr)) {
+        projected.Add(attr, value);
+      }
+    }
+    sample->metadata = std::move(projected);
+  }
+
+ private:
+  std::vector<size_t> keep_indexes_;
+  std::vector<RegionExpr::Ptr> exprs_;
+  std::vector<std::string> keep_meta_;
+  bool meta_all_;
+};
+
+class ExtendOp final : public SampleOp {
+ public:
+  ExtendOp(std::vector<AggregateSpec> aggregates, std::vector<size_t> inputs,
+           const RegionSchema& schema)
+      : SampleOp("EXTEND", schema),
+        aggregates_(std::move(aggregates)),
+        inputs_(std::move(inputs)) {}
+
+  void Rewrite(Sample* sample) const override {
+    std::vector<size_t> all(sample->regions.size());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+    auto values =
+        EvaluateAggregates(aggregates_, inputs_, sample->regions, all);
+    for (size_t a = 0; a < aggregates_.size(); ++a) {
+      sample->metadata.Add(aggregates_[a].output_name, values[a].ToString());
+    }
+  }
+
+ private:
+  std::vector<AggregateSpec> aggregates_;
+  std::vector<size_t> inputs_;
+};
+
 }  // namespace
 
-Result<gdm::Dataset> Operators::Select(const SelectParams& params,
-                                       const Dataset& in) {
-  Dataset out("SELECT", in.schema());
-  RegionPredicate::Ptr region_pred = params.region->Clone();
-  GDMS_RETURN_NOT_OK(region_pred->Bind(in.schema()));
-  for (const auto& s : in.samples()) {
-    if (!params.meta->Eval(s.metadata)) continue;
-    Sample kept(s.id);
-    kept.metadata = s.metadata;
-    kept.regions = SelectRegions(s.regions, *region_pred);
-    out.AddSample(std::move(kept));
-  }
-  return out;
+Result<SampleOp::Ptr> SampleOp::BindSelect(const SelectParams& params,
+                                           const RegionSchema& in) {
+  RegionPredicate::Ptr region = params.region->Clone();
+  GDMS_RETURN_NOT_OK(region->Bind(in));
+  return Ptr(std::make_shared<SelectOp>(params.meta, std::move(region), in));
 }
 
-Result<gdm::Dataset> Operators::Project(const ProjectParams& params,
-                                        const Dataset& in) {
+Result<SampleOp::Ptr> SampleOp::BindProject(const ProjectParams& params,
+                                            const RegionSchema& in) {
   // Output schema: kept attributes then new attributes.
   RegionSchema schema;
   std::vector<size_t> keep_indexes;
   if (params.keep_all) {
-    schema = in.schema();
-    for (size_t i = 0; i < in.schema().size(); ++i) keep_indexes.push_back(i);
+    schema = in;
+    for (size_t i = 0; i < in.size(); ++i) keep_indexes.push_back(i);
   } else {
     for (const auto& name : params.keep_attrs) {
-      auto idx = in.schema().IndexOf(name);
+      auto idx = in.IndexOf(name);
       if (!idx.has_value()) {
         return Status::InvalidArgument("PROJECT keeps unknown attribute: " +
                                        name);
       }
       keep_indexes.push_back(*idx);
-      GDMS_RETURN_NOT_OK(schema.AddAttr(name, in.schema().attr(*idx).type));
+      GDMS_RETURN_NOT_OK(schema.AddAttr(name, in.attr(*idx).type));
     }
   }
   std::vector<RegionExpr::Ptr> exprs;
   for (const auto& na : params.new_attrs) {
     RegionExpr::Ptr expr = na.expr->Clone();
-    GDMS_RETURN_NOT_OK(expr->Bind(in.schema()));
-    GDMS_RETURN_NOT_OK(schema.AddAttr(na.name, expr->OutputType(in.schema())));
+    GDMS_RETURN_NOT_OK(expr->Bind(in));
+    GDMS_RETURN_NOT_OK(schema.AddAttr(na.name, expr->OutputType(in)));
     exprs.push_back(std::move(expr));
   }
+  return Ptr(std::make_shared<ProjectOp>(params, std::move(keep_indexes),
+                                         std::move(exprs), std::move(schema)));
+}
 
-  Dataset out("PROJECT", schema);
+Result<SampleOp::Ptr> SampleOp::BindExtend(const ExtendParams& params,
+                                           const RegionSchema& in) {
+  GDMS_ASSIGN_OR_RETURN(std::vector<size_t> inputs,
+                        ResolveAggInputs(params.aggregates, in));
+  return Ptr(
+      std::make_shared<ExtendOp>(params.aggregates, std::move(inputs), in));
+}
+
+Result<SampleOp::Ptr> SampleOp::Bind(const PlanNode& node,
+                                     const RegionSchema& in) {
+  switch (node.kind) {
+    case OpKind::kSelect:
+      return BindSelect(node.select, in);
+    case OpKind::kProject:
+      return BindProject(node.project, in);
+    case OpKind::kExtend:
+      return BindExtend(node.extend, in);
+    default:
+      return Status::Internal(std::string("not a per-sample operator: ") +
+                              OpKindName(node.kind));
+  }
+}
+
+bool SampleOp::Apply(Sample* sample) const {
+  if (!Keeps(sample->metadata)) return false;
+  Rewrite(sample);
+  return true;
+}
+
+Dataset SampleOp::Run(const Dataset& in) const {
+  Dataset out(name_, schema_);
   for (const auto& s : in.samples()) {
-    Sample ns(s.id);
-    if (params.meta_all) {
-      ns.metadata = s.metadata;
-    } else {
-      for (const auto& attr : params.keep_meta) {
-        for (const auto& value : s.metadata.ValuesOf(attr)) {
-          ns.metadata.Add(attr, value);
-        }
-      }
-    }
-    std::vector<GenomicRegion> rows;
-    rows.reserve(s.regions.size());
-    for (const auto& r : s.regions) {
-      GenomicRegion nr(r.chrom, r.left, r.right, r.strand);
-      nr.values.reserve(schema.size());
-      for (size_t ki : keep_indexes) nr.values.push_back(r.values[ki]);
-      for (const auto& expr : exprs) nr.values.push_back(expr->Eval(r));
-      rows.push_back(std::move(nr));
-    }
-    ns.regions = std::move(rows);
+    if (!Keeps(s.metadata)) continue;
+    Sample ns = s;
+    Rewrite(&ns);
     out.AddSample(std::move(ns));
   }
   return out;
 }
 
+Result<gdm::Dataset> Operators::Select(const SelectParams& params,
+                                       const Dataset& in) {
+  GDMS_ASSIGN_OR_RETURN(SampleOp::Ptr op,
+                        SampleOp::BindSelect(params, in.schema()));
+  return op->Run(in);
+}
+
+Result<gdm::Dataset> Operators::Project(const ProjectParams& params,
+                                        const Dataset& in) {
+  GDMS_ASSIGN_OR_RETURN(SampleOp::Ptr op,
+                        SampleOp::BindProject(params, in.schema()));
+  return op->Run(in);
+}
+
 Result<gdm::Dataset> Operators::Extend(const ExtendParams& params,
                                        const Dataset& in) {
-  GDMS_ASSIGN_OR_RETURN(std::vector<size_t> inputs,
-                        ResolveAggInputs(params.aggregates, in.schema()));
-  Dataset out("EXTEND", in.schema());
-  for (const auto& s : in.samples()) {
-    Sample ns = s;
-    std::vector<size_t> all(s.regions.size());
-    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-    auto values = EvaluateAggregates(params.aggregates, inputs, s.regions, all);
-    for (size_t a = 0; a < params.aggregates.size(); ++a) {
-      ns.metadata.Add(params.aggregates[a].output_name, values[a].ToString());
-    }
-    out.AddSample(std::move(ns));
-  }
-  return out;
+  GDMS_ASSIGN_OR_RETURN(SampleOp::Ptr op,
+                        SampleOp::BindExtend(params, in.schema()));
+  return op->Run(in);
 }
 
 Result<gdm::Dataset> Operators::Merge(const MergeParams& params,

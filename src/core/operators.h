@@ -1,11 +1,66 @@
 #ifndef GDMS_CORE_OPERATORS_H_
 #define GDMS_CORE_OPERATORS_H_
 
+#include <memory>
+#include <utility>
+
 #include "common/status.h"
 #include "core/plan.h"
 #include "gdm/dataset.h"
 
 namespace gdms::core {
+
+/// \brief SELECT, PROJECT or EXTEND bound to its input schema: the one body
+/// of each per-sample operator.
+///
+/// Operators::Select / Project / Extend run it over a dataset (Run), a
+/// FusedTail over each sample a fused producer finishes (Apply), and the
+/// engine's SELECT splits it into its sequential metadata pass (Keeps) and
+/// parallel region step (Rewrite). Binding clones and binds the operator's
+/// predicates and expressions, so a bound operator is immutable and every
+/// method may run concurrently.
+class SampleOp {
+ public:
+  using Ptr = std::shared_ptr<const SampleOp>;
+
+  virtual ~SampleOp() = default;
+  SampleOp(const SampleOp&) = delete;
+  SampleOp& operator=(const SampleOp&) = delete;
+
+  /// Errors are the operator's own: an unknown attribute in a region
+  /// predicate, a PROJECT keep list or expression, or an aggregate input.
+  static Result<Ptr> BindSelect(const SelectParams& params,
+                                const gdm::RegionSchema& in);
+  static Result<Ptr> BindProject(const ProjectParams& params,
+                                 const gdm::RegionSchema& in);
+  static Result<Ptr> BindExtend(const ExtendParams& params,
+                                const gdm::RegionSchema& in);
+  /// Binds a kSelect, kProject or kExtend plan node.
+  static Result<Ptr> Bind(const PlanNode& node, const gdm::RegionSchema& in);
+
+  /// Name of the output dataset ("SELECT", "PROJECT" or "EXTEND").
+  const char* name() const { return name_; }
+  const gdm::RegionSchema& output_schema() const { return schema_; }
+
+  /// False when SELECT's metadata predicate rejects a sample's metadata.
+  virtual bool Keeps(const gdm::Metadata&) const { return true; }
+  /// Rewrites a kept sample's regions and metadata in place.
+  virtual void Rewrite(gdm::Sample* sample) const = 0;
+  /// Keeps() then Rewrite(); false, leaving the sample as it was, when the
+  /// sample is dropped.
+  bool Apply(gdm::Sample* sample) const;
+  /// The operator over a dataset: each kept sample is copied (sharing its
+  /// regions) and rewritten.
+  gdm::Dataset Run(const gdm::Dataset& in) const;
+
+ protected:
+  SampleOp(const char* name, gdm::RegionSchema schema)
+      : name_(name), schema_(std::move(schema)) {}
+
+ private:
+  const char* name_;
+  gdm::RegionSchema schema_;
+};
 
 /// \brief Reference (sequential) implementations of every GMQL operator.
 ///

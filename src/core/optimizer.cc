@@ -10,7 +10,7 @@ namespace {
 /// True when a SELECT has no region predicate component.
 bool IsMetaOnlySelect(const PlanNode& node) {
   return node.kind == OpKind::kSelect &&
-         node.select.region->ToString() == "true";
+         node.select.region->IsTriviallyTrue();
 }
 
 size_t CountNodes(const Program& program) {

@@ -167,6 +167,7 @@ class RegionTrue final : public RegionPredicate {
   Status Bind(const gdm::RegionSchema&) override { return Status::OK(); }
   bool Eval(const gdm::GenomicRegion&) const override { return true; }
   std::string ToString() const override { return "true"; }
+  bool IsTriviallyTrue() const override { return true; }
   Ptr Clone() const override { return std::make_shared<RegionTrue>(); }
 };
 
@@ -299,13 +300,6 @@ RegionPredicate::Ptr RegionPredicate::Or(Ptr a, Ptr b) {
 }
 RegionPredicate::Ptr RegionPredicate::Not(Ptr a) {
   return std::make_shared<RegionNot>(std::move(a));
-}
-
-gdm::RegionStore SelectRegions(const gdm::RegionStore& regions,
-                               const RegionPredicate& pred) {
-  std::vector<char> keep(regions.size());
-  for (size_t i = 0; i < keep.size(); ++i) keep[i] = pred.Eval(regions[i]);
-  return regions.Filtered(keep);
 }
 
 namespace {

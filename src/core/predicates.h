@@ -55,6 +55,9 @@ class RegionPredicate {
   virtual Status Bind(const gdm::RegionSchema& schema) = 0;
   virtual bool Eval(const gdm::GenomicRegion& region) const = 0;
   virtual std::string ToString() const = 0;
+  /// True only for the literal `true` (True()): a SELECT with it keeps
+  /// every region without reading one.
+  virtual bool IsTriviallyTrue() const { return false; }
 
   using Ptr = std::shared_ptr<RegionPredicate>;
 
@@ -69,13 +72,6 @@ class RegionPredicate {
   /// before binding).
   virtual Ptr Clone() const = 0;
 };
-
-/// The regions satisfying the bound predicate `pred`. The predicate yields a
-/// selection vector that RegionStore::Filtered applies, so when every region
-/// qualifies (always, for a metadata-only SELECT) the result shares the
-/// input's storage and built layouts instead of copying rows.
-gdm::RegionStore SelectRegions(const gdm::RegionStore& regions,
-                               const RegionPredicate& pred);
 
 /// \brief Arithmetic expression over a region, for PROJECT's new attributes.
 ///

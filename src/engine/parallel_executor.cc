@@ -438,21 +438,19 @@ Result<gdm::Dataset> ParallelExecutor::ExecuteFused(
 Result<gdm::Dataset> ParallelExecutor::ParallelSelect(
     const core::SelectParams& params, const Dataset& in,
     const core::PlanNode* fused) {
-  core::RegionPredicate::Ptr pred = params.region->Clone();
-  GDMS_RETURN_NOT_OK(pred->Bind(in.schema()));
+  GDMS_ASSIGN_OR_RETURN(core::SampleOp::Ptr select,
+                        core::SampleOp::BindSelect(params, in.schema()));
   // Metadata pass is cheap and sequential ("meta-first" evaluation).
   std::vector<const Sample*> kept;
   for (const auto& s : in.samples()) {
-    if (params.meta->Eval(s.metadata)) kept.push_back(&s);
+    if (select->Keeps(s.metadata)) kept.push_back(&s);
   }
-  auto select = [&](size_t si) {
-    Sample ns(kept[si]->id);
-    ns.metadata = kept[si]->metadata;
-    ns.regions = core::SelectRegions(kept[si]->regions, *pred);
-    return ns;
-  };
-  return EmitStage("select:samples", kept.size(), fused, "SELECT", in.schema(),
-                   select);
+  return EmitStage("select:samples", kept.size(), fused, select->name(),
+                   select->output_schema(), [&](size_t si) {
+                     Sample ns = *kept[si];
+                     select->Rewrite(&ns);
+                     return ns;
+                   });
 }
 
 Result<gdm::Dataset> ParallelExecutor::ParallelDifference(

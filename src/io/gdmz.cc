@@ -22,7 +22,6 @@
 
 #include "gdm/region_columns.h"
 #include "obs/metrics.h"
-#include "obs/resource.h"
 
 namespace gdms::io {
 
@@ -1323,65 +1322,11 @@ uint64_t HeaderU64(std::string_view bytes, size_t offset) {
   return v;
 }
 
-std::string BaseName(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-obs::Counter* GdmzDroppedCounter() {
-  static obs::Counter* c = obs::MetricsRegistry::Global().GetCounter(
-      "gdms_storage_gdmz_dropped_bytes_total");
-  return c;
-}
-
-#ifdef __unix__
-/// Bytes of [addr, addr+length) present in this process's page tables,
-/// read from /proc/self/pagemap (bit 63 of each entry; readable without
-/// privilege — only the PFN field is masked). This is the figure that
-/// tracks process RSS: MADV_DONTNEED on a private file mapping unmaps the
-/// pages from the tables but leaves them in the page cache, so mincore —
-/// which reports the cache — cannot see an eviction. Falls back to mincore
-/// when pagemap is unavailable (non-Linux unix).
-uint64_t ResidentBytesIn(const void* addr, size_t length) {
-  if (length == 0) return 0;
-  uint64_t page = PageBytes();
-  uintptr_t base = reinterpret_cast<uintptr_t>(addr) / page * page;
-  size_t npages = (reinterpret_cast<uintptr_t>(addr) + length - base +
-                   page - 1) / page;
-  int fd = ::open("/proc/self/pagemap", O_RDONLY);
-  if (fd >= 0) {
-    std::vector<uint64_t> entries(npages);
-    ssize_t n = ::pread(fd, entries.data(), npages * sizeof(uint64_t),
-                        static_cast<off_t>(base / page * sizeof(uint64_t)));
-    ::close(fd);
-    if (n >= 0) {
-      uint64_t resident = 0;
-      for (size_t i = 0; i < static_cast<size_t>(n) / sizeof(uint64_t); ++i) {
-        resident += (entries[i] >> 63) & 1;
-      }
-      return resident * page;
-    }
-  }
-  std::vector<unsigned char> vec(npages);
-  if (::mincore(reinterpret_cast<void*>(base), npages * page, vec.data()) !=
-      0) {
-    return 0;
-  }
-  uint64_t resident = 0;
-  for (unsigned char v : vec) resident += v & 1;
-  return resident * page;
-}
-#endif
-
 }  // namespace
 
 MappedGdmz::~MappedGdmz() { Close(); }
 
 void MappedGdmz::Close() {
-  if (token_ != 0) {
-    obs::ResourceTracker::Global().UnregisterStorage(token_);
-    token_ = 0;
-  }
 #ifdef __unix__
   if (map_ != nullptr) ::munmap(map_, size_);
 #endif
@@ -1397,27 +1342,17 @@ MappedGdmz::MappedGdmz(MappedGdmz&& other) noexcept {
 MappedGdmz& MappedGdmz::operator=(MappedGdmz&& other) noexcept {
   if (this != &other) {
     Close();
-    // The tracker's usage callback captures `this`, so a registration
-    // cannot simply transfer: drop the source's and re-create it here.
-    bool reregister = other.token_ != 0;
-    if (reregister) {
-      obs::ResourceTracker::Global().UnregisterStorage(other.token_);
-      other.token_ = 0;
-    }
-    path_ = std::move(other.path_);
     map_ = other.map_;
     size_ = other.size_;
     buffer_ = std::move(other.buffer_);
     other.map_ = nullptr;
     other.size_ = 0;
-    if (reregister) RegisterWithTracker();
   }
   return *this;
 }
 
 Result<MappedGdmz> MappedGdmz::Open(const std::string& path) {
   MappedGdmz m;
-  m.path_ = path;
 #ifdef __unix__
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd >= 0) {
@@ -1457,13 +1392,6 @@ Result<gdm::Dataset> MappedGdmz::Parse() const {
   return ReadGdmzBytes(bytes());
 }
 
-uint64_t MappedGdmz::ResidentBytes() const {
-#ifdef __unix__
-  if (map_ != nullptr) return ResidentBytesIn(map_, size_);
-#endif
-  return buffer_.size();
-}
-
 void MappedGdmz::WillNeedPrefix() const {
 #ifdef __unix__
   if (map_ == nullptr) return;
@@ -1483,48 +1411,6 @@ void MappedGdmz::WillNeedPrefix() const {
                     MADV_WILLNEED);
   }
 #endif
-}
-
-uint64_t MappedGdmz::DropColdPages() {
-#ifdef __unix__
-  if (map_ == nullptr) return 0;
-  uint64_t dir_offset = HeaderU64(bytes(), 16);
-  if (dir_offset < kGdmzHeaderSize || dir_offset > size_) {
-    dir_offset = size_;
-  }
-  uint64_t page = PageBytes();
-  // Whole pages strictly inside the body [header end, directory start):
-  // the header page and directory pages stay warm.
-  uint64_t begin = (kGdmzHeaderSize + page - 1) / page * page;
-  uint64_t end = dir_offset / page * page;
-  if (end <= begin) return 0;
-  char* body = static_cast<char*>(map_) + begin;
-  uint64_t before = ResidentBytesIn(body, end - begin);
-  if (::madvise(body, end - begin, MADV_DONTNEED) != 0) return 0;
-  uint64_t after = ResidentBytesIn(body, end - begin);
-  uint64_t freed = before > after ? before - after : 0;
-  GdmzDroppedCounter()->Add(freed);
-  return freed;
-#else
-  return 0;
-#endif
-}
-
-void MappedGdmz::RegisterWithTracker() {
-  if (token_ != 0) return;
-  auto& tracker = obs::ResourceTracker::Global();
-  token_ = tracker.RegisterStorage(
-      "gdmz:" + BaseName(path_),
-      [this] {
-        obs::StorageUsage usage;
-        usage.mapped_bytes = map_length();
-        usage.mapped_resident_bytes = ResidentBytes();
-        return usage;
-      },
-      [this](uint64_t want_bytes) {
-        (void)want_bytes;  // all-or-nothing: the body is one cold range
-        return DropColdPages();
-      });
 }
 
 Result<gdm::Dataset> OpenGdmz(const std::string& path) {

@@ -110,18 +110,11 @@ Result<std::vector<uint64_t>> DecodeIntStream(std::string_view bytes,
 
 /// \brief An mmap'd .gdmz file image (move-only RAII).
 ///
-/// Beyond the one-shot parse of OpenGdmz, a MappedGdmz keeps the mapping
-/// alive so its page-level behavior is observable and controllable:
-/// ResidentBytes() samples actual residency with mincore(2),
-/// WillNeedPrefix() prefetches the hot prefix (header, directory, first
-/// sample blob) with madvise(MADV_WILLNEED), and DropColdPages() returns
-/// cold body pages to the kernel with madvise(MADV_DONTNEED) — the mapping
-/// is PROT_READ/MAP_PRIVATE with no writes, so dropped pages re-fault from
-/// the file unchanged. RegisterWithTracker() publishes the mapping to
-/// obs::ResourceTracker (map length + resident bytes in the
-/// gdms_storage_gdmz_* gauges, DropColdPages as the shed callback);
-/// the destructor unregisters. On platforms without mmap the image is
-/// buffered in memory and the madvise hooks are no-ops.
+/// OpenGdmz maps the file, prefetches the hot prefix (header, directory,
+/// first sample blob) with madvise(MADV_WILLNEED), parses it and unmaps it
+/// before returning: the parsed samples own their bytes, so no mapping
+/// outlives the open. On platforms without mmap the image is buffered in
+/// memory and the prefetch hint is a no-op.
 class MappedGdmz {
  public:
   MappedGdmz() = default;
@@ -135,48 +128,25 @@ class MappedGdmz {
   /// when the file cannot be opened; parse errors surface from Parse().
   static Result<MappedGdmz> Open(const std::string& path);
 
-  /// True when the image is an actual mmap (false on the buffered
-  /// fallback, where the madvise hooks are no-ops).
-  bool mapped() const { return map_ != nullptr; }
-
   /// The full file image.
   std::string_view bytes() const;
 
   /// Mapped (or buffered) length in bytes.
   uint64_t map_length() const;
 
-  const std::string& path() const { return path_; }
-
   /// Parses the dataset out of the image (ReadGdmzBytes).
   Result<gdm::Dataset> Parse() const;
-
-  /// Resident bytes of the mapping in this process's page tables
-  /// (pagemap-sampled, mincore fallback; buffer size on the non-mmap
-  /// fallback path, which is trivially all resident).
-  uint64_t ResidentBytes() const;
 
   /// Prefetch hint for the hot prefix: header, directory, and the first
   /// 256 KB of the body (the first sample blobs). No-op on the fallback.
   void WillNeedPrefix() const;
 
-  /// Returns cold body pages (between header and directory) to the kernel;
-  /// returns resident bytes actually dropped. The directory stays warm so
-  /// a later re-parse touches only the blobs it needs.
-  uint64_t DropColdPages();
-
-  /// Registers this mapping with obs::ResourceTracker under
-  /// "gdmz:<basename>" (idempotent). The registration follows moves and is
-  /// dropped by the destructor.
-  void RegisterWithTracker();
-
  private:
   void Close();
 
-  std::string path_;
   void* map_ = nullptr;
   size_t size_ = 0;
   std::string buffer_;  ///< fallback image when mmap is unavailable
-  uint64_t token_ = 0;  ///< ResourceTracker registration (0 = none)
 };
 
 /// Opens `path` via mmap (falling back to a buffered read when mapping is

@@ -36,8 +36,6 @@ struct MemMetrics {
   Gauge* reclaimable;
   Gauge* columnar;
   Gauge* budget;
-  Gauge* gdmz_map;
-  Gauge* gdmz_resident;
   Counter* minor_faults;
   Counter* major_faults;
   Counter* evictions;
@@ -53,8 +51,6 @@ struct MemMetrics {
         reg.GetGauge("gdms_mem_reclaimable_bytes"),
         reg.GetGauge("gdms_mem_columnar_cache_bytes"),
         reg.GetGauge("gdms_mem_budget_bytes"),
-        reg.GetGauge("gdms_storage_gdmz_map_bytes"),
-        reg.GetGauge("gdms_storage_gdmz_resident_bytes"),
         reg.GetCounter("gdms_mem_minor_page_faults_total"),
         reg.GetCounter("gdms_mem_major_page_faults_total"),
         reg.GetCounter("gdms_mem_evictions_total"),
@@ -290,7 +286,7 @@ uint64_t ResourceTracker::ReclaimableBytes() const {
   for (const auto& [token, reg] : registrations_) {
     if (!reg.usage) continue;
     StorageUsage usage = reg.usage();
-    total += usage.columnar_bytes + usage.mapped_resident_bytes;
+    total += usage.columnar_bytes;
   }
   return total;
 }
@@ -354,7 +350,6 @@ void ResourceTracker::UpdateGauges() {
     have_prev_faults_ = true;
   }
   uint64_t rows_total = 0, columnar_total = 0;
-  uint64_t mapped_total = 0, mapped_resident_total = 0;
   std::vector<std::pair<std::string, StorageUsage>> per_label;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -367,8 +362,6 @@ void ResourceTracker::UpdateGauges() {
   for (const auto& [label, usage] : per_label) {
     rows_total += usage.rows_bytes;
     columnar_total += usage.columnar_bytes;
-    mapped_total += usage.mapped_bytes;
-    mapped_resident_total += usage.mapped_resident_bytes;
     if (usage.rows_bytes > 0 || usage.columnar_bytes > 0) {
       DatasetGauge("gdms_storage_dataset_resident_bytes", label)
           ->Set(static_cast<int64_t>(usage.rows_bytes));
@@ -377,12 +370,8 @@ void ResourceTracker::UpdateGauges() {
     }
   }
   m.columnar->Set(static_cast<int64_t>(columnar_total));
-  m.gdmz_map->Set(static_cast<int64_t>(mapped_total));
-  m.gdmz_resident->Set(static_cast<int64_t>(mapped_resident_total));
-  m.reclaimable->Set(
-      static_cast<int64_t>(columnar_total + mapped_resident_total));
-  m.tracked->Set(static_cast<int64_t>(rows_total + columnar_total +
-                                      mapped_resident_total));
+  m.reclaimable->Set(static_cast<int64_t>(columnar_total));
+  m.tracked->Set(static_cast<int64_t>(rows_total + columnar_total));
 }
 
 std::string ResourceTracker::RenderStorageSummary() const {
@@ -404,17 +393,9 @@ std::string ResourceTracker::RenderStorageSummary() const {
                     BytesLabel(evicted_bytes()) + ")\n";
   for (const auto& [label, usage] : per_label) {
     char buf[256];
-    if (usage.mapped_bytes > 0) {
-      std::snprintf(buf, sizeof(buf),
-                    "  %-20s mapped %-12s resident %-12s\n", label.c_str(),
-                    BytesLabel(usage.mapped_bytes).c_str(),
-                    BytesLabel(usage.mapped_resident_bytes).c_str());
-    } else {
-      std::snprintf(buf, sizeof(buf),
-                    "  %-20s rows %-12s columnar %-12s\n", label.c_str(),
-                    BytesLabel(usage.rows_bytes).c_str(),
-                    BytesLabel(usage.columnar_bytes).c_str());
-    }
+    std::snprintf(buf, sizeof(buf), "  %-20s rows %-12s columnar %-12s\n",
+                  label.c_str(), BytesLabel(usage.rows_bytes).c_str(),
+                  BytesLabel(usage.columnar_bytes).c_str());
     out += buf;
   }
   return out;

@@ -24,14 +24,14 @@ namespace gdms::obs {
 ///     query -> operator -> bytes tree (RunStats, EXPLAIN ANALYZE attrs,
 ///     the query log's "mem" block, the shell's `.mem` command).
 ///   - ResourceTracker: the process-wide registry of storage residency.
-///     Layers register labeled usage providers (datasets, .gdmz mappings);
+///     Layers register labeled usage providers (the runner's datasets);
 ///     the Sampler asks the tracker to refresh the canonical `gdms_mem_*` /
 ///     `gdms_storage_*` gauges every tick, and process figures (RSS, page
 ///     faults) ride along from /proc + getrusage.
 ///   - The shedder: a watermark loop over the same registrations. Under a
 ///     configured budget the tracker asks registered shed callbacks to
-///     evict reclaimable bytes (lazily built columnar caches, cold .gdmz
-///     page ranges) in LRU order until usage is back under the low
+///     evict reclaimable bytes (lazily built columnar caches) in LRU order
+///     until usage is back under the low
 ///     watermark. Eviction only drops caches that rebuild on demand, so
 ///     query results are bit-identical with or without shedding.
 
@@ -120,13 +120,11 @@ class ScopedCharge {
 };
 
 /// Storage residency figures one registration reports. Rows are the
-/// irreducible resident form; columnar and mapped-resident bytes are the
-/// reclaimable overlay the shedder may drop.
+/// irreducible resident form; columnar bytes are the reclaimable overlay
+/// the shedder may drop.
 struct StorageUsage {
-  uint64_t rows_bytes = 0;             ///< row structs + metadata (resident)
-  uint64_t columnar_bytes = 0;         ///< lazily built columnar caches
-  uint64_t mapped_bytes = 0;           ///< mmap'd file length
-  uint64_t mapped_resident_bytes = 0;  ///< resident pages (pagemap-sampled)
+  uint64_t rows_bytes = 0;      ///< row structs + metadata (resident)
+  uint64_t columnar_bytes = 0;  ///< lazily built columnar caches
 };
 
 /// Process-level memory figures (zeros on non-Linux platforms).
@@ -183,8 +181,8 @@ class ResourceTracker {
 
   // ---- budget & shedding ----
 
-  /// Memory budget over reclaimable bytes (columnar caches + mapped
-  /// resident pages); 0 disables shedding.
+  /// Memory budget over reclaimable bytes (columnar caches); 0 disables
+  /// shedding.
   void set_budget_bytes(uint64_t bytes);
   uint64_t budget_bytes() const {
     return budget_.load(std::memory_order_relaxed);
@@ -197,7 +195,7 @@ class ResourceTracker {
   /// threads must not be holding references into.
   uint64_t MaybeShed();
 
-  /// Reclaimable bytes (columnar + mapped resident) right now.
+  /// Reclaimable bytes (columnar caches) right now.
   uint64_t ReclaimableBytes() const;
 
   /// Refreshes every gdms_mem_* / gdms_storage_* gauge from the providers

@@ -33,7 +33,7 @@ Result<Estimate> Estimator::EstimatePlan(const core::PlanNode& node) const {
         out.samples *= kMetaSelectivity;
         out.regions *= kMetaSelectivity;
       }
-      if (node.select.region->ToString() != "true") {
+      if (!node.select.region->IsTriviallyTrue()) {
         out.regions *= kRegionSelectivity;
       }
       break;
@@ -102,7 +102,7 @@ Result<Estimate> Estimator::EstimatePlan(const core::PlanNode& node) const {
           out.samples *= kMetaSelectivity;
           out.regions *= kMetaSelectivity;
         }
-        if (stage.select.region->ToString() != "true") {
+        if (!stage.select.region->IsTriviallyTrue()) {
           out.regions *= kRegionSelectivity;
         }
       }

@@ -13,6 +13,7 @@
 
 #include "core/runner.h"
 #include "engine/parallel_executor.h"
+#include "io/gdmz.h"
 #include "sim/generators.h"
 
 namespace gdms::engine {
@@ -316,6 +317,101 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<FusionCase>& info) {
       return FusionCaseName(info.param);
     });
+
+// ------------------------------------------------------- bind errors ---
+
+// An unknown attribute in a consumer stage fails with the same Status fused
+// (the stage binds inside the producer's output stage) and unfused (the
+// operator binds over the materialized intermediate dataset).
+TEST_P(FusionEquivalenceTest, BindErrorsMatchUnfused) {
+  const char* kMap =
+      "PROMS = SELECT(annType == 'promoter') ANNOTATIONS;\n"
+      "R = MAP(n AS COUNT) PROMS ENCODE;\n";
+  for (const char* tail : {"T = PROJECT(n, nosuch) R;",
+                           "T = PROJECT(n; x AS nosuch + 1) R;",
+                           "T = EXTEND(t AS SUM(nosuch)) R;",
+                           "T = SELECT(region: nosuch >= 1) R;"}) {
+    const std::string query =
+        std::string(kMap) + tail + "\nMATERIALIZE T;\n";
+    FusionCase c = GetParam();
+    auto fused_exec = MakeExecutor(c);
+    auto plain_exec = MakeExecutor(c);
+    QueryRunner fused_runner = MakeRunner(fused_exec.get());
+    QueryRunner plain_runner = MakeRunner(plain_exec.get());
+    plain_runner.set_fusion(false);
+    auto fused = fused_runner.Run(query);
+    auto plain = plain_runner.Run(query);
+    EXPECT_EQ(fused_runner.last_stats().fusion.chains_fused, 1u) << tail;
+    ASSERT_FALSE(plain.ok()) << tail;
+    ASSERT_FALSE(fused.ok()) << tail;
+    EXPECT_EQ(fused.status().code(), plain.status().code()) << tail;
+    EXPECT_EQ(fused.status().message(), plain.status().message()) << tail;
+    EXPECT_NE(plain.status().message().find("nosuch"), std::string::npos)
+        << plain.status().ToString();
+  }
+}
+
+// ------------------------------------------------ metadata-only SELECT ---
+
+// A SELECT without a region predicate keeps each kept sample's region store
+// as it is: over samples decoded from .gdmz (column-primary) it reads no
+// row, so no row is built and the output shares the input's storage.
+TEST_P(FusionEquivalenceTest, MetadataOnlySelectReadsNoStoredRow) {
+  FusionCase c = GetParam();
+  auto exec = MakeExecutor(c);
+  QueryRunner runner = MakeRunner(exec.get());
+  const std::string blob = io::WriteGdmzString(*runner.FindDataset("ENCODE"));
+  auto stored = io::ReadGdmzBytes(blob);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  runner.RegisterDataset(std::move(stored).value());
+  auto out = runner.Run("S = SELECT(dataType == 'ChipSeq') ENCODE;\n"
+                        "MATERIALIZE S;\n");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  const Dataset& encode = *runner.FindDataset("ENCODE");
+  const Dataset& s = out.value().at("S");
+  ASSERT_GT(s.num_samples(), 0u);
+  for (const auto& sample : s.samples()) {
+    const Sample* in = encode.FindSample(sample.id);
+    ASSERT_NE(in, nullptr);
+    EXPECT_FALSE(sample.regions.rows_built()) << "sample " << sample.id;
+    EXPECT_EQ(sample.regions.storage_id(), in->regions.storage_id());
+  }
+}
+
+// The engine's MAP output is column-primary (its ref sample's columns plus
+// one column per aggregate); a fused metadata-only SELECT tail leaves it
+// so. The reference MAP builds rows, so only the engine is checked.
+TEST(FusedSelectTest, MetadataOnlyTailKeepsMapOutputColumnar) {
+  for (auto backend : {BackendKind::kPipelined, BackendKind::kMaterialized}) {
+    for (size_t threads : {1, 4}) {
+      SCOPED_TRACE(std::string(BackendKindName(backend)) + " x" +
+                   std::to_string(threads));
+      auto exec = FusionEquivalenceTest::MakeExecutor(
+          FusionCase{FusionCase::kParallel, backend, threads});
+      QueryRunner runner = FusionEquivalenceTest::MakeRunner(exec.get());
+      auto out =
+          runner.Run("PROMS = SELECT(annType == 'promoter') ANNOTATIONS;\n"
+                     "R = MAP(n AS COUNT) PROMS ENCODE;\n"
+                     "S = SELECT(karyotype == 'cancer') R;\n"
+                     "MATERIALIZE S;\n");
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(runner.last_stats().fusion.chains_fused, 1u);
+      const Dataset& annotations = *runner.FindDataset("ANNOTATIONS");
+      const Dataset& s = out.value().at("S");
+      ASSERT_GT(s.num_samples(), 0u);
+      for (const auto& sample : s.samples()) {
+        EXPECT_FALSE(sample.regions.rows_built()) << "sample " << sample.id;
+        const gdm::RegionStore* base = sample.regions.base();
+        ASSERT_NE(base, nullptr);
+        bool shares_ref = false;
+        for (const auto& ref : annotations.samples()) {
+          shares_ref |= base->storage_id() == ref.regions.storage_id();
+        }
+        EXPECT_TRUE(shares_ref) << "sample " << sample.id;
+      }
+    }
+  }
+}
 
 // ------------------------------------------------ allocation accounting ---
 

@@ -174,7 +174,6 @@ def check_exposition(
             "gdms_mem_columnar_cache_bytes",
             "gdms_mem_budget_bytes",
             "gdms_mem_evictions_total",
-            "gdms_storage_gdmz_map_bytes",
         ):
             if required not in samples:
                 fail(f"{path}: expected memory sample {required} missing")

@@ -29,9 +29,9 @@
 // escalate their entry to a full embedded EXPLAIN ANALYZE capture.
 //
 // --mem-budget-mb X (fractional MB allowed) sets the resource tracker's
-// memory budget over reclaimable bytes (columnar caches + mapped .gdmz
-// pages): after each query the watermark shedder evicts LRU caches until
-// usage is back under the budget. Results are bit-identical either way —
+// memory budget over reclaimable bytes (columnar caches): after each
+// query the watermark shedder evicts LRU caches until usage is back
+// under the budget. Results are bit-identical either way —
 // only rebuild cost changes. `.mem` in serve mode prints the last query's
 // accounting tree (query -> operator -> bytes) and storage residency.
 //

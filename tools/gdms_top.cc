@@ -195,16 +195,9 @@ std::string RenderMemoryPanel(const History& history,
              Sparkline(history.Values("gdms_mem_rss_bytes"), 20).c_str());
   auto evict_rate = history.Rates("gdms_mem_evictions_total");
   AppendLine(&out,
-             "  columnar %-10s gdmz map %-10s resident %-10s evictions "
-             "%s (%.1f/s) %s",
+             "  columnar %-10s evictions %s (%.1f/s) %s",
              HumanBytes(static_cast<uint64_t>(
                             history.Last("gdms_mem_columnar_cache_bytes")))
-                 .c_str(),
-             HumanBytes(static_cast<uint64_t>(
-                            history.Last("gdms_storage_gdmz_map_bytes")))
-                 .c_str(),
-             HumanBytes(static_cast<uint64_t>(history.Last(
-                            "gdms_storage_gdmz_resident_bytes")))
                  .c_str(),
              FormatValue(history.Last("gdms_mem_evictions_total")).c_str(),
              evict_rate.empty() ? 0.0 : evict_rate.back(),
