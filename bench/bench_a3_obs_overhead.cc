@@ -144,9 +144,12 @@ double QuerySeconds(bool traced) {
 // Telemetry gate: E1-style workload with the live pipeline vs. without
 // ---------------------------------------------------------------------------
 
-// Enough queries that several 100 ms sampler ticks land inside a measured
-// batch — otherwise the gate would only price the sampler's start/stop.
-constexpr int kBatchQueries = 30;
+// Queries per timed batch, shared by the telemetry (A3b) and accounting
+// (A3c) gates. One E1-style query takes 0.3-0.4 ms in Release on a 4-core
+// host, so a batch lasts 115-160 ms and the 100 ms sampler ticks inside
+// every timed telemetry batch: the gate prices the sampler, not only its
+// start/stop. A 30-query batch (~12 ms) never saw a tick.
+constexpr int kBatchQueries = 400;
 constexpr const char* kQueryLogPath = "bench_a3_query_log.jsonl";
 
 /// Times one batch of E1-style queries; when `log` is set, every query is
@@ -228,19 +231,13 @@ int RunTelemetryGate() {
 // Accounting gate: E1-style workload with byte accounting on vs. off
 // ---------------------------------------------------------------------------
 
-// The accounting gate's own batch length. One E1-style query takes about
-// 0.4 ms, so the telemetry gate's 30-query batch is ~12 ms, and its
-// best-of-three minima spread wider than the 2% gate; 300 queries make one
-// timed batch last well over 100 ms.
-constexpr int kAccountingBatchQueries = 300;
-
 /// Times one E1-style batch with resource accounting forced on or off. The
 /// enabled path pays the per-operator Charge (an EstimateResidentBytes walk
 /// of each operator's output) plus the storage Touch per source.
 double AccountingBatchSeconds(core::QueryRunner* runner, bool enabled) {
   obs::ResourceTracker::Global().set_accounting_enabled(enabled);
   Timer timer;
-  for (int i = 0; i < kAccountingBatchQueries; ++i) {
+  for (int i = 0; i < kBatchQueries; ++i) {
     auto results = runner->Run(kQuery);
     if (!results.ok()) std::abort();
   }

@@ -88,8 +88,8 @@ std::vector<std::string> AppendAggAttrs(
   return names;
 }
 
-/// Concatenated, sorted regions of several samples. The sort is stable, so
-/// regions tied on coordinates keep sample order, then row order: folds
+/// Concatenated, sorted regions of several samples. SortRegions is stable,
+/// so regions tied on coordinates keep sample order, then row order: folds
 /// over them (COVER's aggregates) have one defined order, the one a merge
 /// of the sorted samples produces.
 std::vector<GenomicRegion> ConcatRegions(
@@ -101,10 +101,7 @@ std::vector<GenomicRegion> ConcatRegions(
   for (const auto* s : samples) {
     out.insert(out.end(), s->regions.begin(), s->regions.end());
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const GenomicRegion& a, const GenomicRegion& b) {
-                     return a.CoordLess(b);
-                   });
+  gdm::SortRegions(&out);
   return out;
 }
 

@@ -117,10 +117,10 @@ std::string GenomicRegion::ToString() const {
 }
 
 void SortRegions(std::vector<GenomicRegion>* regions) {
-  std::sort(regions->begin(), regions->end(),
-            [](const GenomicRegion& a, const GenomicRegion& b) {
-              return a.CoordLess(b);
-            });
+  std::stable_sort(regions->begin(), regions->end(),
+                   [](const GenomicRegion& a, const GenomicRegion& b) {
+                     return a.CoordLess(b);
+                   });
 }
 
 bool RegionsSorted(const std::vector<GenomicRegion>& regions) {

@@ -102,7 +102,9 @@ struct GenomicRegion {
   std::string ToString() const;
 };
 
-/// Sorts regions by coordinate (chrom, left, right, strand).
+/// Sorts regions by coordinate (chrom, left, right, strand). The sort is
+/// stable: regions tied on all four keep their input order. This is the one
+/// definition of region output order; every executor and reader produces it.
 void SortRegions(std::vector<GenomicRegion>* regions);
 
 /// True if regions are coordinate-sorted.

@@ -1,6 +1,7 @@
 #include "interval/batch.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace gdms::interval {
@@ -56,6 +57,31 @@ void SweepViews(const CoordView& refs, const CoordView& exps, int64_t window,
   }
 }
 
+/// Ascending LSD radix sort of `v` on its offsets from the minimum, 11 bits
+/// a pass, with only as many passes as the value range needs (three for a
+/// chromosome under 8 Gb).
+void RadixSort(std::vector<int64_t>* v) {
+  if (v->size() < 2) return;
+  const auto [lo, hi] = std::minmax_element(v->begin(), v->end());
+  const uint64_t base = static_cast<uint64_t>(*lo);
+  const uint64_t range = static_cast<uint64_t>(*hi) - base;
+  constexpr int kBits = 11;
+  constexpr size_t kMask = (size_t{1} << kBits) - 1;
+  std::vector<int64_t> scratch(v->size());
+  std::vector<size_t> offset(kMask + 1);
+  for (int shift = 0; shift < 64 && (range >> shift) != 0; shift += kBits) {
+    auto digit = [&](int64_t x) {
+      return ((static_cast<uint64_t>(x) - base) >> shift) & kMask;
+    };
+    std::fill(offset.begin(), offset.end(), 0);
+    for (int64_t x : *v) ++offset[digit(x)];
+    size_t sum = 0;
+    for (size_t& o : offset) sum += std::exchange(o, sum);
+    for (int64_t x : *v) scratch[offset[digit(x)]++] = x;
+    v->swap(scratch);
+  }
+}
+
 }  // namespace
 
 CoordView CoordView::Of(const gdm::RegionColumns& cols, size_t begin,
@@ -91,28 +117,36 @@ void ExistsOverlapInto(const CoordView& refs, const CoordView& exps,
 void ProfileFromCoords(int32_t chrom, const int64_t* lefts,
                        const int64_t* rights, size_t n,
                        std::vector<AccSegment>* out) {
-  // Mirror of AccumulationProfile's per-chromosome event sweep.
-  std::vector<std::pair<int64_t, int32_t>> events;
-  events.reserve(2 * n);
+  // AccumulationProfile's event sweep without its event sort: the +1 events
+  // (left ends) arrive sorted, so only the -1 events (right ends) are
+  // sorted. Both sequences end in a sentinel past every coordinate. Each
+  // step folds the next start and/or end at the current position, and a
+  // segment is emitted once every event at that position is folded in.
+  constexpr int64_t kEnd = std::numeric_limits<int64_t>::max();
+  std::vector<int64_t> starts;
+  std::vector<int64_t> ends;
+  starts.reserve(n + 1);
+  ends.reserve(n + 1);
   for (size_t k = 0; k < n; ++k) {
     if (lefts[k] == rights[k]) continue;  // zero-length
-    events.push_back({lefts[k], +1});
-    events.push_back({rights[k], -1});
+    starts.push_back(lefts[k]);
+    ends.push_back(rights[k]);
   }
-  std::sort(events.begin(), events.end());
+  RadixSort(&ends);
+  starts.push_back(kEnd);
+  ends.push_back(kEnd);
+  size_t i = 0;
+  size_t j = 0;
   int64_t acc = 0;
-  size_t e = 0;
-  while (e < events.size()) {
-    int64_t pos = events[e].first;
-    while (e < events.size() && events[e].first == pos) {
-      acc += events[e].second;
-      ++e;
-    }
-    if (e >= events.size()) break;
-    int64_t next = events[e].first;
-    if (acc > 0 && next > pos) {
-      out->push_back({chrom, pos, next, acc});
-    }
+  for (int64_t pos = std::min(starts[0], ends[0]); pos != kEnd;) {
+    const bool start = starts[i] == pos;
+    const bool end = ends[j] == pos;
+    i += start;
+    j += end;
+    acc += int64_t{start} - int64_t{end};
+    const int64_t next = std::min(starts[i], ends[j]);
+    if (next != pos && acc > 0) out->push_back({chrom, pos, next, acc});
+    pos = next;
   }
 }
 

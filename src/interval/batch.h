@@ -3,8 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "gdm/region_columns.h"
@@ -57,9 +57,10 @@ void CollectOverlaps(const CoordView& refs, const CoordView& exps,
 void ExistsOverlapInto(const CoordView& refs, const CoordView& exps,
                        size_t flag_offset, std::vector<char>* flags);
 
-/// \brief Accumulation profile from sorted coordinate pairs of a single
-/// chromosome, appended to `out`. Identical output to AccumulationProfile
-/// over the equivalent rows (zero-length regions are skipped).
+/// \brief Accumulation profile from coordinate pairs of a single
+/// chromosome whose left ends ascend (MergeSlices' order), appended to
+/// `out`. Identical output to AccumulationProfile over the equivalent rows
+/// (zero-length regions are skipped).
 void ProfileFromCoords(int32_t chrom, const int64_t* lefts,
                        const int64_t* rights, size_t n,
                        std::vector<AccSegment>* out);
@@ -77,36 +78,66 @@ struct ColumnSlice {
 /// order, breaking ties by slice index and then row. That is the order a
 /// stable sort of the slices' concatenation yields, without re-sorting rows
 /// that are already in order.
+///
+/// A loser tree holds each slice's head row: internal node t (1 <= t < k)
+/// keeps the loser of the match played there, node 0 the overall winner,
+/// and slice s enters at node (s + k) / 2. Each emitted row costs one replay
+/// of about log2(k) comparisons up its slice's path.
 template <typename Emit>
 void MergeSlices(const std::vector<ColumnSlice>& slices, Emit&& emit) {
-  if (slices.size() == 1) {
-    for (size_t row = slices[0].begin; row < slices[0].end; ++row) {
-      emit(size_t{0}, row);
-    }
-    return;
-  }
+  const size_t k = slices.size();
+  if (k == 0) return;
   struct Head {
-    int64_t left, right;
-    uint8_t strand;
-    size_t slice, row;
+    int64_t left = 0;
+    int64_t right = 0;
+    uint8_t strand = 0;
+    bool done = false;
+    size_t row = 0;
   };
-  auto after = [](const Head& a, const Head& b) {
-    return std::tie(a.left, a.right, a.strand, a.slice) >
-           std::tie(b.left, b.right, b.strand, b.slice);
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(after)> heads(after);
-  auto push = [&](size_t s, size_t row) {
-    if (row == slices[s].end) return;
+  std::vector<Head> heads(k);
+  auto load = [&](size_t s, size_t row) {
+    Head& h = heads[s];
+    h.row = row;
+    h.done = row == slices[s].end;
+    if (h.done) return;
     const gdm::RegionColumns& c = *slices[s].cols;
-    heads.push({c.left(row), c.right(row),
-                static_cast<uint8_t>(c.strand(row)), s, row});
+    h.left = c.left(row);
+    h.right = c.right(row);
+    h.strand = static_cast<uint8_t>(c.strand(row));
   };
-  for (size_t s = 0; s < slices.size(); ++s) push(s, slices[s].begin);
-  while (!heads.empty()) {
-    Head h = heads.top();
-    heads.pop();
-    emit(h.slice, h.row);
-    push(h.slice, h.row + 1);
+  // True when slice a's head goes first; an exhausted slice goes last.
+  auto before = [&](size_t a, size_t b) {
+    const Head& x = heads[a];
+    const Head& y = heads[b];
+    if (x.done || y.done) return !x.done;
+    return std::tie(x.left, x.right, x.strand, a) <
+           std::tie(y.left, y.right, y.strand, b);
+  };
+  constexpr size_t kEmpty = SIZE_MAX;
+  std::vector<size_t> tree(k, kEmpty);
+  // Each slice climbs until it parks at an empty node (to wait for the
+  // other side's winner) or, having won every match, reaches the root.
+  for (size_t s = 0; s < k; ++s) {
+    load(s, slices[s].begin);
+    size_t w = s;
+    for (size_t t = (s + k) / 2; t > 0 && w != kEmpty; t /= 2) {
+      if (tree[t] == kEmpty) {
+        tree[t] = w;
+        w = kEmpty;
+      } else if (before(tree[t], w)) {
+        std::swap(tree[t], w);
+      }
+    }
+    if (w != kEmpty) tree[0] = w;
+  }
+  while (!heads[tree[0]].done) {
+    size_t w = tree[0];
+    emit(w, heads[w].row);
+    load(w, heads[w].row + 1);
+    for (size_t t = (w + k) / 2; t > 0; t /= 2) {
+      if (before(tree[t], w)) std::swap(tree[t], w);
+    }
+    tree[0] = w;
   }
 }
 

@@ -992,10 +992,7 @@ bool DecodeSampleBlob(std::string_view blob,
   for (size_t a = 0; a < cols.num_attrs(); ++a) {
     if (!cols.attr_error(a).ok()) return false;
   }
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const GenomicRegion& x, const GenomicRegion& y) {
-                     return x.CoordLess(y);
-                   });
+  gdm::SortRegions(&rows);
   sample->regions = std::move(rows);
   return true;
 }

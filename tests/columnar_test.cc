@@ -338,6 +338,91 @@ TEST(BatchKernelTest, MergeSlicesEqualsStableSortOfConcatenation) {
   }
 }
 
+TEST(BatchKernelTest, ProfileSweepMatchesRowProfileOnEdgeShapes) {
+  // Seeded shapes the sweep must fold exactly as AccumulationProfile's
+  // event sort does: duplicate left ends (a narrow left range), zero-length
+  // regions, regions nested in and containing others (a long-region mix),
+  // and coordinates past int32 (an int64-escape offset).
+  std::mt19937_64 rng(23);
+  const int32_t chrom = InternChrom("chrProfile");
+  for (int round = 0; round < 60; ++round) {
+    const int64_t offset = round % 3 == 2 ? (int64_t{1} << 40) : 0;
+    const int64_t span = round % 2 == 0 ? 40 : 5000;
+    const size_t n = 1 + rng() % 300;
+    std::vector<GenomicRegion> regions;
+    for (size_t i = 0; i < n; ++i) {
+      int64_t left = offset + static_cast<int64_t>(rng() % span);
+      int64_t len = 0;
+      switch (rng() % 4) {
+        case 0: break;  // zero-length
+        case 1: len = static_cast<int64_t>(rng() % (4 * span)); break;
+        default: len = 1 + static_cast<int64_t>(rng() % 20); break;
+      }
+      regions.emplace_back(chrom, left, left + len);
+    }
+    gdm::SortRegions(&regions);
+    auto row_profile = interval::AccumulationProfile(regions);
+    std::vector<int64_t> lefts, rights;
+    for (const auto& r : regions) {
+      lefts.push_back(r.left);
+      rights.push_back(r.right);
+    }
+    std::vector<interval::AccSegment> sweep;
+    interval::ProfileFromCoords(chrom, lefts.data(), rights.data(),
+                                lefts.size(), &sweep);
+    ASSERT_EQ(sweep.size(), row_profile.size()) << "round " << round;
+    for (size_t i = 0; i < row_profile.size(); ++i) {
+      EXPECT_EQ(sweep[i].chrom, row_profile[i].chrom) << "round " << round;
+      EXPECT_EQ(sweep[i].left, row_profile[i].left) << "round " << round;
+      EXPECT_EQ(sweep[i].right, row_profile[i].right) << "round " << round;
+      EXPECT_EQ(sweep[i].count, row_profile[i].count) << "round " << round;
+    }
+  }
+}
+
+TEST(BatchKernelTest, MergeSlicesMatchesStableSortForAnySliceCount) {
+  // 1, 2, 3 and 8 slices, some of them empty, over a narrow coordinate
+  // range (ties within and across slices) and, in odd rounds, past int32
+  // (wide columns).
+  std::mt19937_64 rng(29);
+  const int32_t chrom = InternChrom("chrMerge");
+  RegionSchema schema;
+  for (size_t n_slices : {1, 2, 3, 8}) {
+    for (int round = 0; round < 12; ++round) {
+      const int64_t offset = round % 2 == 1 ? (int64_t{1} << 36) : 0;
+      std::vector<std::vector<GenomicRegion>> rows(n_slices);
+      std::vector<RegionColumns> cols;
+      cols.reserve(n_slices);
+      std::vector<interval::ColumnSlice> slices;
+      for (size_t sl = 0; sl < n_slices; ++sl) {
+        const size_t n = rng() % 4 == 0 ? 0 : rng() % 40;
+        for (size_t i = 0; i < n; ++i) {
+          int64_t left = offset + static_cast<int64_t>(rng() % 12);
+          rows[sl].emplace_back(chrom, left,
+                                left + static_cast<int64_t>(rng() % 3),
+                                static_cast<Strand>(rng() % 3));
+        }
+        gdm::SortRegions(&rows[sl]);
+        cols.push_back(RegionColumns::Build(rows[sl], schema));
+        slices.push_back({&cols.back(), 0, rows[sl].size()});
+      }
+      std::vector<std::pair<size_t, size_t>> want;  // (slice, row)
+      for (size_t sl = 0; sl < n_slices; ++sl) {
+        for (size_t r = 0; r < rows[sl].size(); ++r) want.emplace_back(sl, r);
+      }
+      std::stable_sort(want.begin(), want.end(),
+                       [&](const auto& a, const auto& b) {
+                         return rows[a.first][a.second].CoordLess(
+                             rows[b.first][b.second]);
+                       });
+      std::vector<std::pair<size_t, size_t>> got;
+      interval::MergeSlices(
+          slices, [&](size_t sl, size_t r) { got.emplace_back(sl, r); });
+      EXPECT_EQ(got, want) << n_slices << " slices, round " << round;
+    }
+  }
+}
+
 // --------------------------------------------------- engine equivalence ---
 
 /// Text serializations of every output of one GMQL program; `exec` null

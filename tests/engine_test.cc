@@ -480,6 +480,78 @@ TEST(EngineTraceTest, JoinPartitionsArePairChromosomes) {
   EXPECT_EQ(executor.trace().columnar_tasks.load(), expected);
 }
 
+TEST(EngineTest, JoinKeepsCoordinateTiedRowsInEmissionOrder) {
+  // Two tied refs span [0, 1000); twenty exps nest inside them and one lies
+  // 1000 bp past them. Under CAT the nested pairs all span [0, 1000) and
+  // the far pairs [0, 2010): 42 rows in two tie runs, well above the 16
+  // below which an unstable sort happens to keep ties in order. Output
+  // order is a stable coordinate sort of the emission order (refs
+  // ascending, then exps ascending per ref).
+  const int32_t chrom = InternChrom("chrJoinTies");
+  gdm::RegionSchema ref_schema;
+  ASSERT_TRUE(ref_schema.AddAttr("name", gdm::AttrType::kString).ok());
+  Dataset refs("REFS", ref_schema);
+  Sample rs(1);
+  for (const char* name : {"a", "b"}) {
+    rs.regions.emplace_back(chrom, 0, 1000, gdm::Strand::kNone,
+                            std::vector<Value>{Value(name)});
+  }
+  refs.AddSample(std::move(rs));
+  gdm::RegionSchema exp_schema;
+  ASSERT_TRUE(exp_schema.AddAttr("k", gdm::AttrType::kInt).ok());
+  Dataset exps("EXPS", exp_schema);
+  Sample es(2);
+  for (int64_t k = 0; k < 20; ++k) {
+    es.regions.emplace_back(chrom, 100 + 10 * k, 105 + 10 * k,
+                            gdm::Strand::kNone, std::vector<Value>{Value(k)});
+  }
+  es.regions.emplace_back(chrom, 2000, 2010, gdm::Strand::kNone,
+                          std::vector<Value>{Value(int64_t{20})});
+  exps.AddSample(std::move(es));
+
+  struct Row {
+    int64_t right;
+    std::string name;
+    int64_t k;
+  };
+  std::vector<Row> want;
+  for (const char* name : {"a", "b"}) {
+    for (int64_t k = 0; k < 20; ++k) want.push_back({1000, name, k});
+  }
+  for (const char* name : {"a", "b"}) want.push_back({2010, name, 20});
+
+  auto check = [&](core::Executor* executor, const std::string& label) {
+    QueryRunner runner = executor ? QueryRunner(executor) : QueryRunner();
+    runner.RegisterDataset(refs);
+    runner.RegisterDataset(exps);
+    auto r = runner.Run("J = JOIN(DLE(1500); CAT) REFS EXPS;\nMATERIALIZE J;\n");
+    ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+    const Dataset& j = r.value().at("J");
+    ASSERT_EQ(j.num_samples(), 1u) << label;
+    const auto& rows = j.sample(0).regions.rows();
+    ASSERT_EQ(rows.size(), want.size()) << label;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].left, 0) << label << " row " << i;
+      EXPECT_EQ(rows[i].right, want[i].right) << label << " row " << i;
+      EXPECT_EQ(rows[i].values[0].AsString(), want[i].name)
+          << label << " row " << i;
+      EXPECT_EQ(rows[i].values[1].AsInt(), want[i].k) << label << " row " << i;
+    }
+  };
+  check(nullptr, "reference");
+  for (BackendKind backend :
+       {BackendKind::kPipelined, BackendKind::kMaterialized}) {
+    for (size_t threads : {1, 4}) {
+      EngineOptions options;
+      options.backend = backend;
+      options.threads = threads;
+      ParallelExecutor executor(options);
+      check(&executor, std::string(BackendKindName(backend)) + "_t" +
+                           std::to_string(threads));
+    }
+  }
+}
+
 TEST(EngineTraceTest, PipelinedMovesNoShuffleBytes) {
   EngineOptions options;
   options.backend = BackendKind::kPipelined;

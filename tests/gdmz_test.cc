@@ -712,6 +712,38 @@ TEST(GdmzTest, OutOfOrderChromosomesFallBackToSortedRows) {
   EXPECT_TRUE(back.value().Validate().ok());
 }
 
+TEST(GdmzTest, WriterSortsAnUnsortedSampleStably) {
+  // Three interleaved runs of 20 rows tied on coordinates, each row with
+  // its own value: more than the 16 rows below which an unstable sort
+  // happens to keep ties in order. The writer sorts the sample; tied rows
+  // must come back in input order.
+  gdm::RegionSchema schema;
+  ASSERT_TRUE(schema.AddAttr("k", gdm::AttrType::kInt).ok());
+  gdm::Dataset ds("UNSORTED", schema);
+  gdm::Sample s(1);
+  const int32_t chrom = gdm::InternChrom("chrUnsorted");
+  for (int64_t k = 0; k < 60; ++k) {
+    int64_t left = 1000 * (2 - k % 3);
+    s.regions.emplace_back(chrom, left, left + 50, gdm::Strand::kNone,
+                           std::vector<gdm::Value>{gdm::Value(k)});
+  }
+  ASSERT_FALSE(s.IsSorted());
+  ds.AddSample(std::move(s));
+
+  auto back = ReadGdmzString(WriteGdmzString(ds));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  const auto& rows = back.value().sample(0).regions.rows();
+  ASSERT_EQ(rows.size(), 60u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    // Row i is the (i % 20)-th input row of run i / 20; run r holds the
+    // inputs k with k % 3 == 2 - r.
+    int64_t run = static_cast<int64_t>(i / 20);
+    int64_t want = 3 * static_cast<int64_t>(i % 20) + (2 - run);
+    EXPECT_EQ(rows[i].left, 1000 * run) << "row " << i;
+    EXPECT_EQ(rows[i].values[0].AsInt(), want) << "row " << i;
+  }
+}
+
 // ------------------------------------------------ packed integer streams ---
 
 /// Reference bit-at-a-time packer: mode byte, width byte, values LSB-first.
