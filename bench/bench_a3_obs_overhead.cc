@@ -136,7 +136,6 @@ double QuerySeconds(bool traced) {
     if (s < best) best = s;
   }
   obs::Tracer::Global().set_enabled(false);
-  obs::Tracer::Global().Clear();
   return best;
 }
 

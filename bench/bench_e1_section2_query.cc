@@ -22,6 +22,8 @@ namespace {
 using namespace gdms;  // NOLINT
 using bench::Timer;
 
+bench::ObsFlags obs_flags;
+
 struct ScaledRun {
   size_t samples;
   uint64_t peaks;
@@ -55,6 +57,7 @@ ScaledRun RunAtScale(size_t num_samples, size_t peaks_per_sample,
       "RESULT = MAP(peak_count AS COUNT) PROMS PEAKS;\n"
       "MATERIALIZE RESULT;\n");
   run.seconds = timer.Seconds();
+  obs_flags.Record(runner.last_stats());
   auto outputs = std::move(results).ValueOrDie();
   const gdm::Dataset& result = outputs.at("RESULT");
   run.result_samples = result.num_samples();
@@ -163,6 +166,7 @@ void FusionAB(bench::BenchJson* json) {
       auto results = runner.Run(query);
       double seconds = timer.Seconds();
       (void)std::move(results).ValueOrDie();
+      obs_flags.Record(runner.last_stats());
       if (rep == 0 || seconds < best.seconds) best.seconds = seconds;
     }
     best.intermediates = runner.last_stats().intermediate_datasets;
@@ -208,7 +212,6 @@ BENCHMARK(BM_Section2Query)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   std::string json_path = bench::JsonPathFromArgs(&argc, argv);
-  bench::ObsFlags obs_flags;
   obs_flags.ParseFromArgs(&argc, argv);
   if (json_path.empty()) json_path = "BENCH_E1.json";
   bench::BenchJson json("E1 section2 map query");

@@ -20,6 +20,8 @@ namespace {
 using namespace gdms;  // NOLINT
 using bench::Timer;
 
+bench::ObsFlags obs_flags;
+
 struct QueryCase {
   const char* name;
   const char* gmql;
@@ -69,6 +71,7 @@ BackendRun RunOn(engine::BackendKind backend, const char* gmql) {
   auto results = runner.Run(gmql);
   BackendRun out;
   out.seconds = timer.Seconds();
+  obs_flags.Record(runner.last_stats());
   out.shuffle_bytes = executor.trace().shuffle_bytes.load();
   out.tasks = executor.trace().tasks.load();
   out.barriers = executor.trace().stage_barriers.load();
@@ -142,7 +145,6 @@ BENCHMARK(BM_Backend)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   std::string json_path = bench::JsonPathFromArgs(&argc, argv);
-  bench::ObsFlags obs_flags;
   obs_flags.ParseFromArgs(&argc, argv);
   if (json_path.empty()) json_path = "BENCH_E6.json";
   bench::BenchJson json("E6 materialized vs pipelined backends");

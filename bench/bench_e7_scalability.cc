@@ -23,6 +23,8 @@ namespace {
 using namespace gdms;  // NOLINT
 using bench::Timer;
 
+bench::ObsFlags obs_flags;
+
 const char* kQuery =
     "R = MAP(n AS COUNT, s AS SUM(signal)) PANELS ENCODE;\n"
     "MATERIALIZE R;\n";
@@ -81,6 +83,7 @@ RunResult RunOnce(size_t threads) {
   auto results = runner.Run(kQuery);
   RunResult out;
   out.seconds = timer.Seconds();
+  obs_flags.Record(runner.last_stats());
   results.ValueOrDie();
   out.tasks = executor.trace().tasks.load();
   out.partitions = executor.trace().partitions.load();
@@ -174,7 +177,6 @@ BENCHMARK(BM_MapScaling)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   std::string json_path = bench::JsonPathFromArgs(&argc, argv);
-  bench::ObsFlags obs_flags;
   obs_flags.ParseFromArgs(&argc, argv);
   if (json_path.empty()) json_path = "BENCH_E7.json";
   bench::BenchJson json("E7 scheduler scalability");

@@ -37,6 +37,8 @@ namespace {
 using namespace gdms;  // NOLINT
 using bench::Timer;
 
+bench::ObsFlags obs_flags;
+
 constexpr size_t kWorkersMax = 8;
 constexpr size_t kCapacityQueries = 96;
 constexpr size_t kOpenLoopQueries = 200;
@@ -114,6 +116,7 @@ struct Collector {
     ++responses[resp.id];
     latencies_ms.push_back(resp.total_ms);
     if (!resp.status.ok()) ++errors;
+    obs_flags.Record(resp.stats);
   }
 
   /// (lost, duplicates) against the ids Submit admitted.
@@ -181,7 +184,8 @@ PhaseResult RunCapacity(size_t workers, size_t queries) {
   opts.result_cache_bytes = 0;
   serve::SessionManager manager(SharedCatalog(), opts);
   const auto& mix = QueryMix();
-  for (const auto& q : mix) manager.Execute(q);  // warm the plan cache
+  // Warm the plan cache.
+  for (const auto& q : mix) obs_flags.Record(manager.Execute(q).stats);
 
   Collector col;
   std::vector<uint64_t> admitted;
@@ -216,7 +220,8 @@ PhaseResult RunOpenLoop(size_t workers, double offered_qps, size_t queries) {
   opts.queue_limit = 64;
   serve::SessionManager manager(SharedCatalog(), opts);
   const auto& mix = QueryMix();
-  for (const auto& q : mix) manager.Execute(q);  // fill plan + result caches
+  // Fill the plan and result caches.
+  for (const auto& q : mix) obs_flags.Record(manager.Execute(q).stats);
 
   serve::PlanCache::Stats plan0 = manager.plan_cache().stats();
   serve::ResultCache::Stats res0 = manager.result_cache().stats();
@@ -272,7 +277,7 @@ PhaseResult RunOverload(size_t queries) {
   opts.result_cache_bytes = 0;
   serve::SessionManager manager(SharedCatalog(), opts);
   const auto& mix = QueryMix();
-  for (const auto& q : mix) manager.Execute(q);
+  for (const auto& q : mix) obs_flags.Record(manager.Execute(q).stats);
 
   Collector col;
   std::vector<uint64_t> admitted;
@@ -427,7 +432,6 @@ BENCHMARK(BM_WarmServe)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
   std::string json_path = bench::JsonPathFromArgs(&argc, argv);
-  bench::ObsFlags obs_flags;
   obs_flags.ParseFromArgs(&argc, argv);
   if (json_path.empty()) json_path = "BENCH_E9_SERVE.json";
   bench::BenchJson json("E9 serve admission and caching");

@@ -11,10 +11,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/runner.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -167,11 +169,12 @@ inline std::string JsonPathFromArgs(int* argc, char** argv) {
 
 /// The shared observability flags of the experiment benches:
 ///   --trace <path>    enable the span tracer; write a Chrome trace-event
-///                     JSON of every span the bench produced to <path>
+///                     JSON of every recorded query's spans to <path>
 ///   --metrics <path>  write the process metrics registry (counters,
 ///                     gauges, histograms) as JSON to <path>
-/// Call ParseFromArgs before benchmark::Initialize and Finish after the
-/// paper-table section (profile JSONs land next to the BENCH_E*.json).
+/// Call ParseFromArgs before benchmark::Initialize, Record after every
+/// query, and Finish after the paper-table section (profile JSONs land next
+/// to the BENCH_E*.json).
 class ObsFlags {
  public:
   void ParseFromArgs(int* argc, char** argv) {
@@ -180,9 +183,18 @@ class ObsFlags {
     if (!trace_path_.empty()) obs::Tracer::Global().set_enabled(true);
   }
 
-  void Finish() const {
+  /// Keeps a finished query's spans for the trace; a no-op for an
+  /// untraced query. Thread-safe (serve callbacks record from workers).
+  void Record(const core::RunStats& stats) {
+    if (stats.profile == nullptr) return;
+    const std::vector<obs::SpanRecord>& spans = stats.profile->spans();
+    std::lock_guard<std::mutex> lk(mu_);
+    spans_.insert(spans_.end(), spans.begin(), spans.end());
+  }
+
+  void Finish() {
     if (!trace_path_.empty()) {
-      obs::Profile profile(obs::Tracer::Global().TakeAll());
+      obs::Profile profile(std::move(spans_));
       if (profile.WriteChromeTrace(trace_path_)) {
         std::printf("wrote %s (%zu spans)\n", trace_path_.c_str(),
                     profile.spans().size());
@@ -205,6 +217,8 @@ class ObsFlags {
  private:
   std::string trace_path_;
   std::string metrics_path_;
+  std::mutex mu_;
+  std::vector<obs::SpanRecord> spans_;
 };
 
 }  // namespace gdms::bench

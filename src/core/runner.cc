@@ -151,15 +151,11 @@ Result<std::map<std::string, gdm::Dataset>> QueryRunner::RunProgram(
   // Run() calls never leak telemetry into each other.
   stats_ = RunStats{};
   executor_->ResetStats();
-  obs::Tracer& tracer = obs::Tracer::Global();
-  obs::Span query_span = tracer.StartSpan("query", "query", 0);
-  if (options_.trace.valid()) {
-    stats_.trace_id = options_.trace.id;
-    if (query_span.active()) {
-      query_span.AddAttr("trace_parent",
-                         static_cast<double>(options_.trace.parent_span));
-    }
-  }
+  // Every span of this query ends into `spans`, the profile's source; it
+  // outlives them all.
+  obs::SpanSink spans;
+  obs::Span query_span =
+      obs::Tracer::Global().StartSpan("query", "query", 0, &spans);
   obs::ResourceTracker& tracker = obs::ResourceTracker::Global();
   bool accounting = tracker.accounting_enabled();
   pinned_.clear();
@@ -176,12 +172,13 @@ Result<std::map<std::string, gdm::Dataset>> QueryRunner::RunProgram(
   // reads of corrupt stored attribute columns land in `attr_reads` (see the
   // check after evaluation), operator outputs and engine scratch buffers
   // are charged to `account`, and spans opened below the runner nest under
-  // the query's spans, whatever other queries run beside it.
+  // the query's spans and end into its sink, whatever other queries run
+  // beside it.
   gdm::AttrReadLog attr_reads;
   gdm::QueryContext query{
       &attr_reads,
       accounting ? std::make_shared<obs::QueryAccounting>() : nullptr,
-      query_span.id()};
+      query_span.id(), query_span.active() ? &spans : nullptr};
   gdm::QueryContext::Scope query_scope(query);
   if (options_.optimize) {
     stats_.optimizer = Optimizer::Optimize(&program);
@@ -275,11 +272,9 @@ Result<std::map<std::string, gdm::Dataset>> QueryRunner::RunProgram(
   // the process has NOT quiesced, and the session manager sheds when the
   // last in-flight query drains instead.
   if (shed_at_quiesce_) tracker.MaybeShed();
-  uint64_t query_span_id = query_span.id();
-  query_span.End();
-  if (query_span_id != 0) {
-    stats_.profile =
-        std::make_shared<obs::Profile>(tracer.Collect(query_span_id));
+  if (query_span.active()) {
+    query_span.End();
+    stats_.profile = std::make_shared<obs::Profile>(spans.Take());
   }
   stats_.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -323,12 +318,13 @@ Result<const gdm::Dataset*> QueryRunner::Evaluate(
     return src;
   }
   obs::Tracer& tracer = obs::Tracer::Global();
+  const gdm::QueryContext& query = gdm::QueryContext::Current();
   // MATERIALIZE is a sink marker with no data semantics: pass the child
   // through so large results are never copied just to be renamed. It still
   // gets a span so the profile tree is rooted at the named sink.
   if (node->kind == OpKind::kMaterialize) {
     obs::Span span = tracer.StartSpan("MATERIALIZE " + node->name, "operator",
-                                      parent_span);
+                                      parent_span, query.sink);
     return Evaluate(node->children[0], memo, span.id());
   }
   // A fused node's span names every logical operator in the chain
@@ -336,7 +332,8 @@ Result<const gdm::Dataset*> QueryRunner::Evaluate(
   // about which operators ran even though they share one physical stage.
   std::string op_name = node->kind == OpKind::kFused ? node->FusedChainName()
                                                      : OpKindName(node->kind);
-  obs::Span span = tracer.StartSpan(op_name, "operator", parent_span);
+  obs::Span span =
+      tracer.StartSpan(op_name, "operator", parent_span, query.sink);
   if (node->kind == OpKind::kFused && span.active()) {
     span.AddAttr("fused", 1);
     span.AddAttr("fused_stages",
@@ -352,7 +349,6 @@ Result<const gdm::Dataset*> QueryRunner::Evaluate(
   ExecutorStats before = span.active() ? executor_->stats() : ExecutorStats{};
   // Name the operator for byte attribution: scratch buffers the engine
   // charges during Execute and the output charge below land on it.
-  const gdm::QueryContext& query = gdm::QueryContext::Current();
   obs::QueryAccounting* account = query.account.get();
   if (account != nullptr) account->SetCurrentOp(op_name);
   gdm::Dataset out;
@@ -414,7 +410,6 @@ obs::QueryLogEntry MakeQueryLogEntry(const std::string& query,
   entry.alloc_bytes = stats.alloc_bytes;
   entry.peak_bytes = stats.peak_bytes;
   entry.profile = stats.profile;
-  if (stats.trace_id.valid()) entry.trace_id = stats.trace_id.ToHex();
   return entry;
 }
 

@@ -13,7 +13,6 @@
 #include "core/parser.h"
 #include "core/plan.h"
 #include "gdm/dataset.h"
-#include "obs/dtrace.h"
 #include "obs/profile.h"
 #include "obs/query_log.h"
 #include "obs/resource.h"
@@ -29,12 +28,6 @@ struct ExecOptions {
   /// dataset is materialized between them. Disable to A/B against the
   /// unfused plan — results are identical either way.
   bool fusion = true;
-  /// Distributed-trace context of the enclosing query (minted at serve
-  /// admission): invalid = untraced. RunProgram stamps the trace id into
-  /// RunStats and tags the wall profile's query span with the parent span
-  /// id, so the serve layer can rebase engine spans into the stitched
-  /// trace.
-  obs::TraceContext trace;
 };
 
 /// Per-query execution statistics.
@@ -62,9 +55,6 @@ struct RunStats {
   /// engine stage / federation spans nested beneath. Only populated while
   /// obs::Tracer::Global() is enabled; null otherwise.
   std::shared_ptr<const obs::Profile> profile;
-  /// The distributed trace this run executed under (from
-  /// ExecOptions::trace); invalid when untraced.
-  obs::TraceId trace_id;
 };
 
 /// \brief End-to-end GMQL query runner.
@@ -119,7 +109,6 @@ class QueryRunner {
   void set_shed_at_quiesce(bool on) { shed_at_quiesce_ = on; }
 
   void set_exec_options(ExecOptions options) { options_ = options; }
-  const ExecOptions& exec_options() const { return options_; }
 
   void set_optimize(bool on) { options_.optimize = on; }
   bool optimize() const { return options_.optimize; }

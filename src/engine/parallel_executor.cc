@@ -292,7 +292,7 @@ void ParallelExecutor::RunStage(const char* name, size_t n,
     pool_.ParallelFor(n, fn);
     return;
   }
-  obs::Span span = tracer.StartSpan(name, "stage", query.span);
+  obs::Span span = tracer.StartSpan(name, "stage", query.span, query.sink);
   std::vector<int64_t> starts(n);
   std::vector<int64_t> durations(n);
   int64_t stage_start = tracer.NowNs();

@@ -6,6 +6,7 @@
 
 namespace gdms::obs {
 class QueryAccounting;
+class SpanSink;
 }  // namespace gdms::obs
 
 namespace gdms::gdm {
@@ -17,16 +18,20 @@ class AttrReadLog;
 /// Everything that attributes work to a query reads it from here: a read of
 /// a corrupt stored column reports to `attr_reads`, byte charges land on
 /// `account`, and spans opened below the runner (engine stages, federation
-/// hops, metadata searches) nest under `span`. QueryRunner::RunProgram
+/// hops, metadata searches) nest under `span` and end into `sink`, the
+/// query's own span set. QueryRunner::RunProgram
 /// installs one on its thread, Evaluate re-installs it with the operator's
 /// span around each Execute, and the parallel executor installs the
 /// caller's on every task of a stage, so concurrent queries — one per serve
 /// worker — never see each other's context. Outside any Scope (a catalog
-/// decoding ahead, a test) Current() is empty: no log, no account, span 0.
+/// decoding ahead, a test) Current() is empty: no log, no account, span 0,
+/// no sink (so no spans).
 struct QueryContext {
   AttrReadLog* attr_reads = nullptr;
   std::shared_ptr<obs::QueryAccounting> account;
   uint64_t span = 0;
+  /// Null when the query is untraced.
+  obs::SpanSink* sink = nullptr;
 
   /// The calling thread's context.
   static const QueryContext& Current();

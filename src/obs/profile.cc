@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
+#include <unordered_map>
+
+#include "obs/metrics.h"
 
 namespace gdms::obs {
 
@@ -26,39 +28,17 @@ std::string FormatAttr(double v) {
   return buf;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 Profile::Profile(std::vector<SpanRecord> spans) : spans_(std::move(spans)) {
-  // Span ids are per-tracer counters, so a merged multi-tracer span set
-  // collides on bare ids; key the tree on (origin, id) and resolve parent
-  // links within the same origin so each tracer's spans form their own
-  // subtree instead of cross-linking.
-  std::map<std::pair<uint64_t, uint64_t>, size_t> by_id;
+  std::unordered_map<uint64_t, size_t> by_id;
   nodes_.resize(spans_.size());
   for (size_t i = 0; i < spans_.size(); ++i) {
     nodes_[i].rec = &spans_[i];
-    by_id[{spans_[i].origin, spans_[i].id}] = i;
+    by_id[spans_[i].id] = i;
   }
   for (size_t i = 0; i < spans_.size(); ++i) {
-    auto it = by_id.find({spans_[i].origin, spans_[i].parent});
+    auto it = by_id.find(spans_[i].parent);
     if (it == by_id.end()) {
       roots_.push_back(i);
       total_ns_ += spans_[i].duration_ns;
@@ -129,17 +109,14 @@ std::string Profile::RenderChromeTrace() const {
   for (const auto& rec : spans_) {
     if (!first) out += ",";
     first = false;
-    // One thread lane per origin: spans merged from multiple tracers
-    // render as separate rows instead of one garbled flame.
     std::snprintf(buf, sizeof(buf),
                   "\n{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", "
-                  "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %llu, "
+                  "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": 1, "
                   "\"args\": {",
                   JsonEscape(rec.name).c_str(),
                   JsonEscape(rec.category).c_str(),
                   static_cast<double>(rec.start_ns) / 1e3,
-                  static_cast<double>(rec.duration_ns) / 1e3,
-                  static_cast<unsigned long long>(rec.origin + 1));
+                  static_cast<double>(rec.duration_ns) / 1e3);
     out += buf;
     std::snprintf(buf, sizeof(buf), "\"span\": %llu, \"parent\": %llu",
                   static_cast<unsigned long long>(rec.id),

@@ -43,9 +43,8 @@ class Profile {
   std::string RenderTree() const;
 
   /// Chrome trace-event JSON ("X" complete events; ts/dur in microseconds).
-  /// Spans share one pid with one tid lane per span origin, so strictly
-  /// nested single-tracer ranges render as a nested flame and merged
-  /// multi-tracer sets get a row each.
+  /// Spans share one pid and tid, so strictly nested ranges render as a
+  /// nested flame.
   std::string RenderChromeTrace() const;
 
   /// Writes RenderChromeTrace to `path`; false (with stderr note) on error.

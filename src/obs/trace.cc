@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <set>
 
 namespace gdms::obs {
 
@@ -21,10 +20,10 @@ SkewStats ComputeSkew(std::vector<int64_t> durations_ns) {
 
 void Span::End() {
   if (!active()) return;
-  Tracer* t = tracer_;
-  tracer_ = nullptr;
-  rec_.duration_ns = t->NowNs() - rec_.start_ns;
-  t->Finish(std::move(rec_));
+  SpanSink* sink = sink_;
+  sink_ = nullptr;
+  rec_.duration_ns = tracer_->NowNs() - rec_.start_ns;
+  sink->Add(std::move(rec_));
 }
 
 Tracer& Tracer::Global() {
@@ -33,66 +32,17 @@ Tracer& Tracer::Global() {
 }
 
 Span Tracer::StartSpan(std::string name, const char* category,
-                       uint64_t parent) {
+                       uint64_t parent, SpanSink* sink) {
   Span span;
-  if (!enabled()) return span;
+  if (sink == nullptr || !enabled()) return span;
   span.tracer_ = this;
+  span.sink_ = sink;
   span.rec_.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  span.rec_.origin = origin_.load(std::memory_order_relaxed);
   span.rec_.parent = parent;
   span.rec_.name = std::move(name);
   span.rec_.category = category;
   span.rec_.start_ns = NowNs();
   return span;
-}
-
-void Tracer::Finish(SpanRecord rec) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (done_.size() >= kMaxSpans) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  done_.push_back(std::move(rec));
-}
-
-std::vector<SpanRecord> Tracer::Collect(uint64_t root_id) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::set<uint64_t> keep{root_id};
-  std::vector<SpanRecord> out;
-  // Children finish before their parents (End order), so one reverse pass
-  // sees every parent before its children; a forward fixpoint loop backs
-  // that up for spans ended out of order (e.g. explicitly).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (auto it = done_.rbegin(); it != done_.rend(); ++it) {
-      if (keep.count(it->id) == 0 && keep.count(it->parent) > 0) {
-        keep.insert(it->id);
-        changed = true;
-      }
-    }
-  }
-  for (const auto& rec : done_) {
-    if (keep.count(rec.id) > 0) out.push_back(rec);
-  }
-  return out;
-}
-
-std::vector<SpanRecord> Tracer::TakeAll() {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::vector<SpanRecord> out;
-  out.swap(done_);
-  return out;
-}
-
-void Tracer::Clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  done_.clear();
-}
-
-size_t Tracer::pending() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return done_.size();
 }
 
 }  // namespace gdms::obs

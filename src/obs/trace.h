@@ -12,12 +12,8 @@
 namespace gdms::obs {
 
 /// One finished span: a named, timed slice of a query with numeric
-/// attributes. Parent links form the profile tree (0 = root).
-///
-/// `origin` namespaces the id: every tracer mints ids from its own
-/// process-local counter, so spans merged from multiple tracers (remote
-/// sites, per-node tracers in tests) collide on bare ids. Identity is the
-/// (origin, id) pair; parent links are resolved within the same origin.
+/// attributes. Parent links form the profile tree (0 = root); ids come from
+/// one process-wide counter, so they are unique across queries.
 struct SpanRecord {
   uint64_t id = 0;
   uint64_t parent = 0;
@@ -27,9 +23,7 @@ struct SpanRecord {
   int64_t start_ns = 0;  ///< steady time since the tracer epoch
   int64_t duration_ns = 0;
   std::vector<std::pair<std::string, double>> attrs;
-  /// Tracer origin tag: span identity is (origin, id) in merged span sets,
-  /// and parent links resolve within the same origin. 0 = this process's
-  /// default tracer.
+  /// Always 0. Kept only because the repository benchmark still reads it.
   uint64_t origin = 0;
 };
 
@@ -45,13 +39,38 @@ struct SkewStats {
 /// attached to stage spans). Zeros when empty.
 SkewStats ComputeSkew(std::vector<int64_t> durations_ns);
 
+/// \brief The finished spans of one query.
+///
+/// QueryRunner::RunProgram owns one per traced query and carries it in the
+/// query's gdm::QueryContext; every span of the query ends into it, from
+/// whichever thread, and the runner takes them for the profile. It must
+/// outlive every span started with it.
+class SpanSink {
+ public:
+  void Add(SpanRecord rec) {
+    std::lock_guard<std::mutex> lk(mu_);
+    spans_.push_back(std::move(rec));
+  }
+
+  /// Removes and returns the spans, in the order they ended.
+  std::vector<SpanRecord> Take() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return std::exchange(spans_, {});
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<SpanRecord> spans_;
+};
+
 class Tracer;
 
 /// \brief Movable handle for an in-flight span.
 ///
 /// Inactive (all methods no-ops) when the tracer was disabled at StartSpan
-/// time, so call sites stay unconditional. The record is assembled locally
-/// and only touches the tracer (one mutex-guarded append) at End/destruction.
+/// time or no sink was given, so call sites stay unconditional. The record
+/// is assembled locally and only touches its sink (one mutex-guarded
+/// append) at End/destruction.
 class Span {
  public:
   Span() = default;
@@ -62,14 +81,15 @@ class Span {
     if (this != &other) {
       End();
       tracer_ = other.tracer_;
+      sink_ = other.sink_;
       rec_ = std::move(other.rec_);
-      other.tracer_ = nullptr;
+      other.sink_ = nullptr;
     }
     return *this;
   }
   ~Span() { End(); }
 
-  bool active() const { return tracer_ != nullptr; }
+  bool active() const { return sink_ != nullptr; }
   /// 0 when inactive — safe to pass as a parent id.
   uint64_t id() const { return active() ? rec_.id : 0; }
 
@@ -77,27 +97,27 @@ class Span {
     if (active()) rec_.attrs.emplace_back(key, value);
   }
 
-  /// Stamps the duration and hands the record to the tracer; idempotent.
+  /// Stamps the duration and hands the record to the sink; idempotent.
   void End();
 
  private:
   friend class Tracer;
-  Tracer* tracer_ = nullptr;
+  const Tracer* tracer_ = nullptr;
+  SpanSink* sink_ = nullptr;
   SpanRecord rec_;
 };
 
-/// \brief Low-overhead span collector; one per process via Global().
+/// \brief The span clock and id source; one per process via Global().
 ///
 /// Compiled-in but runtime-toggleable: when disabled (the default),
 /// StartSpan is a relaxed atomic load returning an inactive handle — the
-/// no-op fast path every instrumentation site rides. When enabled, finished
-/// spans accumulate (bounded) until a caller collects them.
+/// no-op fast path every instrumentation site rides.
 ///
-/// The tracer holds no per-query state: callers name each span's parent.
-/// Layers below the query runner (engine stages, federation hops, metadata
-/// searches) take it from the calling thread's gdm::QueryContext, where the
-/// runner puts the span of the operator it is executing, so concurrent
-/// queries never parent under each other's operators.
+/// The tracer holds no spans and no per-query state: each span ends into
+/// the sink of its query. Layers below the query runner (engine stages,
+/// federation hops, metadata searches) take the sink and the parent span
+/// from the calling thread's gdm::QueryContext, so concurrent queries never
+/// see each other's spans.
 class Tracer {
  public:
   Tracer() : epoch_(std::chrono::steady_clock::now()) {}
@@ -111,16 +131,10 @@ class Tracer {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Origin tag stamped on every span this tracer starts. Distinct per
-  /// tracer instance when span sets are merged across tracers (the global
-  /// tracer keeps the default 0).
-  void set_origin(uint64_t origin) {
-    origin_.store(origin, std::memory_order_relaxed);
-  }
-  uint64_t origin() const { return origin_.load(std::memory_order_relaxed); }
-
-  /// Starts a span under `parent` (0 = root). Inactive handle when disabled.
-  Span StartSpan(std::string name, const char* category, uint64_t parent);
+  /// Starts a span under `parent` (0 = root) that ends into `sink`.
+  /// Inactive handle when disabled or when `sink` is null.
+  Span StartSpan(std::string name, const char* category, uint64_t parent,
+                 SpanSink* sink);
 
   /// Nanoseconds since the tracer epoch.
   int64_t NowNs() const {
@@ -129,34 +143,14 @@ class Tracer {
         .count();
   }
 
-  /// Copies the finished spans reachable from `root_id` (inclusive),
-  /// leaving the buffer untouched — per-query collection under a
-  /// process-wide tracer.
-  std::vector<SpanRecord> Collect(uint64_t root_id) const;
-
-  /// Removes and returns every finished span (whole-process export).
-  std::vector<SpanRecord> TakeAll();
-
-  void Clear();
-  size_t pending() const;
-  /// Spans discarded because the buffer was full.
-  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-
-  /// Buffer bound; beyond it spans are dropped and counted, not grown —
-  /// a long-lived process with tracing left on must not grow unbounded.
-  static constexpr size_t kMaxSpans = 1 << 20;
+  /// No-op: the tracer holds no spans. Kept only because the repository
+  /// benchmark still calls it.
+  void Clear() {}
 
  private:
-  friend class Span;
-  void Finish(SpanRecord rec);
-
   std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> origin_{0};
   std::atomic<uint64_t> next_id_{1};
-  std::atomic<uint64_t> dropped_{0};
   std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mu_;
-  std::vector<SpanRecord> done_;
 };
 
 }  // namespace gdms::obs

@@ -31,8 +31,8 @@ class HopScope {
         before_(coordinator->counters()),
         start_ns_(obs::Tracer::Global().NowNs()),
         span_(obs::Tracer::Global().StartSpan(
-            std::move(name), "federation",
-            gdm::QueryContext::Current().span)) {}
+            std::move(name), "federation", gdm::QueryContext::Current().span,
+            gdm::QueryContext::Current().sink)) {}
 
   ~HopScope() {
     static obs::Counter* hops =

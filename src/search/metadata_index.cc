@@ -73,9 +73,9 @@ std::vector<SearchHit> MetadataIndex::Search(const std::string& query,
   queries->Add();
   obs::Tracer& tracer = obs::Tracer::Global();
   int64_t start_ns = tracer.NowNs();
-  obs::Span span =
-      tracer.StartSpan("search:" + query, "search",
-                       gdm::QueryContext::Current().span);
+  const gdm::QueryContext& context = gdm::QueryContext::Current();
+  obs::Span span = tracer.StartSpan("search:" + query, "search", context.span,
+                                    context.sink);
   std::unordered_map<uint32_t, double> scores;
   double n_docs = static_cast<double>(std::max<size_t>(1, docs_.size()));
   size_t matched_terms = 0;

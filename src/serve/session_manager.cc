@@ -92,7 +92,6 @@ SessionManager::SessionManager(ServeCatalog* catalog, ServeOptions options)
         o.queue_limit = std::max<size_t>(1, o.queue_limit);
         return o;
       }()),
-      plan_cache_(options.plan_cache_shapes, options.plan_bindings_per_shape),
       result_cache_(options.result_cache_bytes),
       pool_(std::max<size_t>(1, options.workers)) {
   for (size_t i = 0; i < options_.workers; ++i) {
@@ -326,18 +325,8 @@ void SessionManager::RunJob(Job* job) {
         const uint64_t exec_off =
             static_cast<uint64_t>(MsSince(job->submitted, t0) * 1000.0);
         const uint64_t texec = temit("serve:exec", "engine", exec_off, 0, troot);
-        // Thread the trace into the runner for exactly this program: the
-        // engine's wall profile (when the tracer is on) gets rebased under
-        // the exec span below, and RunStats carries the trace id into the
-        // query log.
-        const core::ExecOptions worker_opts = ctx->runner->exec_options();
-        core::ExecOptions traced_opts = worker_opts;
-        traced_opts.trace = job->trace;
-        traced_opts.trace.parent_span = texec;
-        ctx->runner->set_exec_options(traced_opts);
         Result<std::map<std::string, gdm::Dataset>> run =
             ctx->runner->RunProgram(*prepared.program);
-        ctx->runner->set_exec_options(worker_opts);
         resp.exec_ms = MsSince(t0, Clock::now());
         m.exec_us->Record(static_cast<uint64_t>(resp.exec_ms * 1000.0));
         resp.stats = ctx->runner->last_stats();
@@ -362,10 +351,10 @@ void SessionManager::RunJob(Job* job) {
                       return a->start_ns < b->start_ns;
                     });
           if (ops.size() > 64) ops.resize(64);
-          std::map<std::pair<uint64_t, uint64_t>, uint64_t> remap;
+          std::map<uint64_t, uint64_t> remap;
           for (const obs::SpanRecord* rec : ops) {
             uint64_t parent = texec;
-            auto it = remap.find({rec->origin, rec->parent});
+            auto it = remap.find(rec->parent);
             if (it != remap.end()) parent = it->second;
             int64_t off_ns = std::max<int64_t>(0, rec->start_ns - anchor);
             uint64_t id = temit(
@@ -374,7 +363,7 @@ void SessionManager::RunJob(Job* job) {
                 static_cast<uint64_t>(std::max<int64_t>(0, rec->duration_ns) /
                                       1000),
                 parent);
-            remap[{rec->origin, rec->id}] = id;
+            remap[rec->id] = id;
           }
         }
         if (!run.ok()) {

@@ -39,8 +39,6 @@ struct ServeOptions {
   size_t engine_threads = 1;
   /// Byte cap of the result cache; 0 disables result caching entirely.
   uint64_t result_cache_bytes = 256ull << 20;
-  size_t plan_cache_shapes = 256;
-  size_t plan_bindings_per_shape = 64;
   /// Optimization applied once at plan-prepare time; cached programs are
   /// executed as-is (workers run with optimize/fusion off — both already
   /// happened — so shared plan nodes are never mutated).

@@ -20,18 +20,12 @@ using core::QueryRunner;
 using engine::EngineOptions;
 using engine::ParallelExecutor;
 
-/// Turns the global tracer on for one test and leaves it clean afterwards
-/// (disabled, buffer drained) so tests stay order-independent.
+/// Turns the global tracer on for one test and off afterwards, so tests
+/// stay order-independent.
 class ScopedTracing {
  public:
-  ScopedTracing() {
-    Tracer::Global().Clear();
-    Tracer::Global().set_enabled(true);
-  }
-  ~ScopedTracing() {
-    Tracer::Global().set_enabled(false);
-    Tracer::Global().Clear();
-  }
+  ScopedTracing() { Tracer::Global().set_enabled(true); }
+  ~ScopedTracing() { Tracer::Global().set_enabled(false); }
 };
 
 // ------------------------------------------------------------- metrics ---
@@ -119,39 +113,23 @@ TEST(MetricsTest, ResetAllZeroesEveryInstrument) {
 TEST(TracerTest, DisabledSpansAreInactiveAndFree) {
   Tracer& tracer = Tracer::Global();
   ASSERT_FALSE(tracer.enabled());
-  size_t before = tracer.pending();
+  SpanSink sink;
   {
-    Span s = tracer.StartSpan("noop", "stage", 0);
+    Span s = tracer.StartSpan("noop", "stage", 0, &sink);
     EXPECT_FALSE(s.active());
     EXPECT_EQ(s.id(), 0u);
     s.AddAttr("ignored", 1.0);
   }
-  EXPECT_EQ(tracer.pending(), before);
+  EXPECT_TRUE(sink.Take().empty());
 }
 
-TEST(TracerTest, CollectCopiesOnlyTheRootedSubtree) {
+TEST(TracerTest, NullSinkSpansAreInactive) {
   ScopedTracing tracing;
-  Tracer& tracer = Tracer::Global();
-  Span root = tracer.StartSpan("root", "query", 0);
-  uint64_t root_id = root.id();
-  ASSERT_NE(root_id, 0u);
-  {
-    Span child = tracer.StartSpan("child", "operator", root_id);
-    Span grandchild = tracer.StartSpan("grand", "stage", child.id());
-    grandchild.End();
-    child.End();
-  }
-  Span stranger = tracer.StartSpan("stranger", "query", 0);
-  stranger.End();
-  root.End();
-
-  std::vector<SpanRecord> subtree = tracer.Collect(root_id);
-  EXPECT_EQ(subtree.size(), 3u);
-  for (const auto& rec : subtree) EXPECT_NE(rec.name, "stranger");
-  // Collect is non-destructive; TakeAll drains everything.
-  EXPECT_EQ(tracer.pending(), 4u);
-  EXPECT_EQ(tracer.TakeAll().size(), 4u);
-  EXPECT_EQ(tracer.pending(), 0u);
+  Span s = Tracer::Global().StartSpan("orphan", "search", 0, nullptr);
+  EXPECT_FALSE(s.active());
+  EXPECT_EQ(s.id(), 0u);
+  s.AddAttr("ignored", 1.0);
+  s.End();
 }
 
 TEST(TracerTest, ComputeSkewMatchesHandComputedValues) {
@@ -174,16 +152,20 @@ TEST(TracerTest, ComputeSkewMatchesHandComputedValues) {
   EXPECT_DOUBLE_EQ(empty.mean_ns, 0.0);
 }
 
+// Eight threads emit into two sinks (even threads into one, odd into the
+// other), as two concurrent queries' tasks do: each sink ends up with
+// exactly its own threads' spans, every id unique.
 TEST(TracerTest, ConcurrentSpanEmissionIsRaceFree) {
   ScopedTracing tracing;
   Tracer& tracer = Tracer::Global();
   constexpr int kThreads = 8;
   constexpr int kSpansPerThread = 200;
+  SpanSink sinks[2];
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tracer, t] {
+    threads.emplace_back([&tracer, &sinks, t] {
       for (int i = 0; i < kSpansPerThread; ++i) {
-        Span s = tracer.StartSpan("worker", "stage", 0);
+        Span s = tracer.StartSpan("worker", "stage", 0, &sinks[t % 2]);
         s.AddAttr("thread", static_cast<double>(t));
         s.AddAttr("i", static_cast<double>(i));
         s.End();
@@ -191,11 +173,19 @@ TEST(TracerTest, ConcurrentSpanEmissionIsRaceFree) {
     });
   }
   for (auto& th : threads) th.join();
-  std::vector<SpanRecord> all = tracer.TakeAll();
-  ASSERT_EQ(all.size(), static_cast<size_t>(kThreads * kSpansPerThread));
   std::set<uint64_t> ids;
-  for (const auto& rec : all) ids.insert(rec.id);
-  EXPECT_EQ(ids.size(), all.size());
+  for (int k = 0; k < 2; ++k) {
+    std::vector<SpanRecord> spans = sinks[k].Take();
+    ASSERT_EQ(spans.size(),
+              static_cast<size_t>(kThreads / 2 * kSpansPerThread));
+    for (const auto& rec : spans) {
+      ASSERT_EQ(rec.attrs.at(0).first, "thread");
+      EXPECT_EQ(static_cast<int>(rec.attrs.at(0).second) % 2, k);
+      ids.insert(rec.id);
+    }
+    EXPECT_TRUE(sinks[k].Take().empty());
+  }
+  EXPECT_EQ(ids.size(), static_cast<size_t>(kThreads * kSpansPerThread));
 }
 
 // ------------------------------------------------------------- profile ---

@@ -431,7 +431,6 @@ std::pair<double, double> MapTasksAndStageSum(const Profile& profile) {
 // shuffle charge land in its own account, exactly as when run alone.
 TEST(QueryAccountingTest, ConcurrentRunnersAttributeStagesAndBytes) {
   TrackerStateGuard guard;
-  Tracer::Global().Clear();
   Tracer::Global().set_enabled(true);
   uint64_t alone_alloc = 0;
   {
@@ -452,7 +451,6 @@ TEST(QueryAccountingTest, ConcurrentRunnersAttributeStagesAndBytes) {
   b.gate.Release();
   b_thread.join();
   Tracer::Global().set_enabled(false);
-  Tracer::Global().Clear();
 
   ASSERT_TRUE(a_status.ok()) << a_status.ToString();
   ASSERT_TRUE(b_status.ok()) << b_status.ToString();

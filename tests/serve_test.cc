@@ -1,8 +1,9 @@
 // Tests for the src/serve session layer: query normalization, plan-cache
-// hit/rebind result equivalence, result-cache invalidation on dataset
-// publish (bit-identical to an uncached run), admission control that sheds
-// instead of blocking, queue deadlines, and — the TSan target — concurrent
-// sessions hammering the caches while a writer bumps dataset versions.
+// LRU bounds, plan-cache hit/rebind result equivalence, result-cache
+// invalidation on dataset publish (bit-identical to an uncached run),
+// admission control that sheds instead of blocking, queue deadlines, and —
+// the TSan target — concurrent sessions hammering the caches while a
+// writer bumps dataset versions.
 
 #include <atomic>
 #include <chrono>
@@ -92,6 +93,66 @@ TEST(NormalizeGmql, SameShapeDifferentLiterals) {
   EXPECT_EQ(b.literals[1], "'EP300'");
   auto c = NormalizeGmql(kCoverQuery).ValueOrDie();
   EXPECT_NE(a.key, c.key);
+}
+
+/// A PlanCache prepare step that only counts its calls: the LRU tests below
+/// look at which lookups had to prepare, not at the plans.
+PlanCache::PrepareFn CountingPrepare(int* calls) {
+  return [calls](const std::string& text) -> Result<PlanCache::Prepared> {
+    ++*calls;
+    PlanCache::Prepared prepared;
+    prepared.plan_key = text;
+    return prepared;
+  };
+}
+
+PlanCache::Outcome LookupOutcome(PlanCache* cache, const std::string& gmql,
+                                 const PlanCache::PrepareFn& prepare) {
+  return cache->GetOrPrepare(gmql, prepare).ValueOrDie().outcome;
+}
+
+TEST(PlanCache, EvictsTheLeastRecentlyUsedShape) {
+  PlanCache cache(/*max_shapes=*/2, /*max_bindings_per_shape=*/4);
+  int calls = 0;
+  PlanCache::PrepareFn prepare = CountingPrepare(&calls);
+  const std::string a = "A = SELECT(n == 1) ENCODE; MATERIALIZE A;";
+  const std::string b = "B = SELECT(n == 1) ENCODE; MATERIALIZE B;";
+  const std::string c = "C = SELECT(n == 1) ENCODE; MATERIALIZE C;";
+  EXPECT_EQ(LookupOutcome(&cache, a, prepare), PlanCache::Outcome::kMiss);
+  EXPECT_EQ(LookupOutcome(&cache, b, prepare), PlanCache::Outcome::kMiss);
+  EXPECT_EQ(LookupOutcome(&cache, a, prepare), PlanCache::Outcome::kHit);
+  // A third shape evicts B, the shape used least recently.
+  EXPECT_EQ(LookupOutcome(&cache, c, prepare), PlanCache::Outcome::kMiss);
+  EXPECT_EQ(cache.stats().shapes, 2u);
+  EXPECT_EQ(LookupOutcome(&cache, a, prepare), PlanCache::Outcome::kHit);
+  EXPECT_EQ(LookupOutcome(&cache, c, prepare), PlanCache::Outcome::kHit);
+  EXPECT_EQ(LookupOutcome(&cache, b, prepare), PlanCache::Outcome::kMiss);
+  EXPECT_EQ(calls, 4);
+}
+
+TEST(PlanCache, EvictsTheLeastRecentlyUsedBindingOfAShape) {
+  PlanCache cache(/*max_shapes=*/4, /*max_bindings_per_shape=*/2);
+  int calls = 0;
+  PlanCache::PrepareFn prepare = CountingPrepare(&calls);
+  auto query = [](int n) {
+    return "R = SELECT(n == " + std::to_string(n) + ") ENCODE; MATERIALIZE R;";
+  };
+  EXPECT_EQ(LookupOutcome(&cache, query(1), prepare),
+            PlanCache::Outcome::kMiss);
+  EXPECT_EQ(LookupOutcome(&cache, query(2), prepare),
+            PlanCache::Outcome::kRebind);
+  EXPECT_EQ(LookupOutcome(&cache, query(1), prepare), PlanCache::Outcome::kHit);
+  // A third binding evicts binding 2, used least recently; the shape stays.
+  EXPECT_EQ(LookupOutcome(&cache, query(3), prepare),
+            PlanCache::Outcome::kRebind);
+  PlanCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.shapes, 1u);
+  EXPECT_EQ(stats.bindings, 2u);
+  EXPECT_EQ(LookupOutcome(&cache, query(1), prepare), PlanCache::Outcome::kHit);
+  EXPECT_EQ(LookupOutcome(&cache, query(3), prepare), PlanCache::Outcome::kHit);
+  EXPECT_EQ(LookupOutcome(&cache, query(2), prepare),
+            PlanCache::Outcome::kRebind);
+  EXPECT_EQ(calls, 4);
 }
 
 TEST(SessionManager, PlanHitAndRebindReturnCorrectResults) {
@@ -310,7 +371,6 @@ TEST(SessionManager, ConcurrentTracedQueriesKeepTheirOwnStageSpans) {
   const std::string queries[] = {MapQuery("CTCF"), std::string(kCoverQuery),
                                  std::string(kJoinQuery)};
 
-  obs::Tracer::Global().Clear();
   obs::Tracer::Global().set_enabled(true);
   std::mutex mu;
   std::vector<ServeResponse> responses;
@@ -325,7 +385,6 @@ TEST(SessionManager, ConcurrentTracedQueriesKeepTheirOwnStageSpans) {
   }
   manager.Drain();
   obs::Tracer::Global().set_enabled(false);
-  obs::Tracer::Global().Clear();
 
   std::lock_guard<std::mutex> lock(mu);
   ASSERT_EQ(responses.size(), 48u);

@@ -26,17 +26,11 @@
 namespace gdms::obs {
 namespace {
 
-/// Turns the global tracer on for one test and leaves it clean afterwards.
+/// Turns the global tracer on for one test and off afterwards.
 class ScopedTracing {
  public:
-  ScopedTracing() {
-    Tracer::Global().Clear();
-    Tracer::Global().set_enabled(true);
-  }
-  ~ScopedTracing() {
-    Tracer::Global().set_enabled(false);
-    Tracer::Global().Clear();
-  }
+  ScopedTracing() { Tracer::Global().set_enabled(true); }
+  ~ScopedTracing() { Tracer::Global().set_enabled(false); }
 };
 
 // ---------------------------------------------------------- time series ---

@@ -285,12 +285,9 @@ class ServeSession {
       manager_ = std::make_unique<serve::SessionManager>(catalog_.get(), opt);
     }
     // Tracing stays on for the whole session: the query log needs profile
-    // trees for self-times and slow-query EXPLAIN capture. The span buffer
-    // is cleared after every query so a long-running serve never fills
-    // Tracer::kMaxSpans and silently stops capturing. The tracer's single
-    // current-parent slot is not safe across concurrent sessions, so it
-    // stays off when more than one worker can execute at once.
-    obs::Tracer::Global().set_enabled(config_.workers <= 1);
+    // trees for self-times and slow-query EXPLAIN capture. Each query keeps
+    // its own spans, so concurrent workers trace side by side.
+    obs::Tracer::Global().set_enabled(true);
     obs::Sampler sampler;
     if (config_.sample_ms > 0) {
       obs::SamplerOptions opt;
@@ -544,7 +541,6 @@ class ServeSession {
     }
     if (entry.wall_ms >= config_.slow_ms) ++slow_;
     if (log_ != nullptr) log_->Record(entry);
-    obs::Tracer::Global().Clear();
   }
 
   /// --workers mode: runs the query through the session manager (admission
@@ -596,7 +592,6 @@ class ServeSession {
     }
     if (entry.wall_ms >= config_.slow_ms) ++slow_;
     if (log_ != nullptr) log_->Record(entry);
-    obs::Tracer::Global().Clear();
   }
 
   /// Runs the query over a lazily built in-process federation (two sites,
@@ -686,7 +681,6 @@ class ServeSession {
     entry.critical_path = std::move(critical);
     if (entry.wall_ms >= config_.slow_ms) ++slow_;
     if (log_ != nullptr) log_->Record(entry);
-    obs::Tracer::Global().Clear();
   }
 
   void EnsureFederation() {
@@ -1028,19 +1022,16 @@ int main(int argc, char** argv) {
     std::printf("saved %zu datasets to repository %s\n",
                 results.value().size(), save_repo_dir.c_str());
   }
-  if (explain) {
-    const auto& profile = runner->last_stats().profile;
-    if (profile != nullptr) {
-      std::printf("\nEXPLAIN ANALYZE\n%s", profile->RenderTree().c_str());
-    }
+  const auto& profile = runner->last_stats().profile;
+  if (explain && profile != nullptr) {
+    std::printf("\nEXPLAIN ANALYZE\n%s", profile->RenderTree().c_str());
   }
   if (!trace_path.empty()) {
-    obs::Profile full(obs::Tracer::Global().TakeAll());
-    if (!full.WriteChromeTrace(trace_path)) {
+    if (profile == nullptr || !profile->WriteChromeTrace(trace_path)) {
       return Fail("cannot write trace to " + trace_path);
     }
     std::printf("wrote trace to %s (%zu spans)\n", trace_path.c_str(),
-                full.spans().size());
+                profile->spans().size());
   }
   if (print_metrics) {
     std::fputs(obs::MetricsRegistry::Global().RenderText().c_str(), stdout);
